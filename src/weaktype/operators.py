@@ -9,12 +9,12 @@ and its adjoint as
     (1+m) * t**(m/2) * integral_t^inf f(s) / s**(1+m/2) ds  -  f(t).
 
 Closed-form application uses the exact piecewise moment integrals.  The
-independent oracle recomputes the same values by adaptive Simpson quadrature
-with piece boundaries as mandatory panel breaks.  Superlevel sets are located
-structurally: on every maximal region (piece, gap, or tail) the transformed
-function is a two-term power expression whose threshold crossings solve in
-closed form, and every genuine crossing is certified by bisection against the
-quadrature oracle.
+independent oracle recomputes the same values by QUADPACK quadrature
+(``scipy.integrate.quad``) with piece boundaries as mandatory panel breaks.
+Superlevel sets are located structurally: on every maximal region (piece,
+gap, or tail) the transformed function is a two-term power expression whose
+threshold crossings solve in closed form, and every genuine crossing is
+certified by Brent's method on the quadrature oracle inside its region.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .piecewise import (
     PiecewisePowerFunction,
@@ -50,10 +49,8 @@ __all__ = [
 # the extremal families sit exactly on the threshold up to rounding.
 THRESHOLD_SLACK = 1e-9
 
-# Closed-form crossings must agree with oracle bisection to this tolerance.
+# Closed-form crossings must agree with the oracle root to this tolerance.
 CERTIFY_TOL = 1e-8
-
-_MAX_SIMPSON_DEPTH = 48
 
 
 class Kind(enum.Enum):
@@ -82,7 +79,7 @@ def lambda_star_op(m: int) -> OperatorKind:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement exceeded its depth bound."""
+    """QUADPACK reported that a panel integral did not converge."""
 
 
 @dataclass(frozen=True)
@@ -122,53 +119,24 @@ def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> 
     return (1.0 + m) * t ** (m / 2.0) * integral - evaluate(f, t)
 
 
-def _adaptive_simpson(
-    g: Callable[[float], float], a: float, b: float, tol: float
-) -> float:
-    """Adaptive Simpson on [a, b]; raises QuadratureError past the depth bound."""
-
-    def simpson(fa: float, fm: float, fb: float, h: float) -> float:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(
-        lo: float, hi: float, flo: float, fmid: float, fhi: float,
-        whole: float, eps: float, depth: int,
-    ) -> float:
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = g(lmid)
-        frm = g(rmid)
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        if depth >= _MAX_SIMPSON_DEPTH:
-            raise QuadratureError(
-                f"adaptive Simpson did not converge on [{lo}, {hi}]"
-            )
-        # keep the tolerance per subpanel: halving it cannot keep up with
-        # endpoint derivative singularities, and the Richardson correction
-        # absorbs the accumulated slack
-        return recurse(lo, mid, flo, flm, fmid, left, eps, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, eps, depth + 1
-        )
-
-    if a >= b:
-        return 0.0
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+def _weighted_expression(s: float, piece: PowerPiece, weight: float) -> float:
+    return piece.expression(s) * s ** weight
 
 
 def apply_quadrature_oracle(
     op: OperatorKind, f: PiecewisePowerFunction, t: float, tol: float = 1e-10
 ) -> float:
-    """Operator value recomputed by adaptive Simpson quadrature.
+    """Operator value recomputed by QUADPACK quadrature (``scipy.integrate.quad``).
 
-    Piece boundaries inside the integration range are mandatory panel breaks,
-    so the integrand is smooth on every panel.
+    Piece boundaries inside the integration range are mandatory panel breaks.
+    Each panel is integrated against the one piece containing its midpoint,
+    so the integrand is smooth on every panel; gap panels contribute 0.
+    ``tol`` bounds the absolute error of the returned value: every panel gets
+    the absolute tolerance ``tol / (|prefactor| * panels)`` and no relative
+    one.  Any QUADPACK warning raises QuadratureError.
     """
+    from scipy.integrate import quad
+
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if tol <= 0.0:
@@ -182,29 +150,29 @@ def apply_quadrature_oracle(
         lo, hi = t, f.support()[1]
         weight = -1.0 - m / 2.0
         prefactor = (1.0 + m) * t ** (m / 2.0)
-    if lo >= hi:
+    if lo >= hi or prefactor == 0.0:
+        # an underflowed prefactor leaves no integral term to check
         return -evaluate(f, t)
-
-    def integrand(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        return evaluate(f, s) * s ** weight
-
     breaks = sorted(
         {lo, hi}
         | {b for pc in f.pieces for b in (pc.t_lo, pc.t_hi) if lo < b < hi}
     )
-    panel_tol = tol / max(1, len(breaks) - 1)
+    panel_tol = tol / (abs(prefactor) * (len(breaks) - 1))
     integral = 0.0
     for a, b in zip(breaks, breaks[1:]):
-        # a panel's left endpoint belongs to the piece on its left; nudge
-        # inward so the panel sees its own one-sided limit
-        def panel_integrand(s: float, a: float = a, b: float = b) -> float:
-            if s <= a:
-                s = a + 1e-12 * (b - a)
-            return integrand(s)
-
-        integral += _adaptive_simpson(panel_integrand, a, b, panel_tol)
+        mid = 0.5 * (a + b)
+        piece = next((pc for pc in f.pieces if pc.contains(mid)), None)
+        if piece is None:
+            continue
+        value, _, _, *message = quad(
+            _weighted_expression, a, b, args=(piece, weight),
+            epsabs=panel_tol, epsrel=0.0, full_output=1,
+        )
+        if message:
+            raise QuadratureError(
+                f"QUADPACK failed on [{a}, {b}]: {message[0]}"
+            )
+        integral += value
     return prefactor * integral - evaluate(f, t)
 
 
@@ -396,37 +364,36 @@ def _region_intervals(
 
 
 def _certify_crossing(
-    op: OperatorKind, f: PiecewisePowerFunction, t_cross: float, thr: float
+    op: OperatorKind,
+    f: PiecewisePowerFunction,
+    region: _Region,
+    t_cross: float,
+    thr: float,
 ) -> None:
-    """Bisect |Tf| - thr (via the quadrature oracle) around a crossing."""
+    """Locate the root of |Tf| - thr (via the quadrature oracle) near a crossing.
+
+    The bracket of +-1e-3 * t_cross is shrunk to lie strictly inside the
+    crossing's region: Tf jumps where f does, so a bracket reaching across a
+    region boundary can miss the sign change.
+    """
+    from scipy.optimize import brentq
 
     def residual(t: float) -> float:
         return abs(apply_quadrature_oracle(op, f, t, tol=1e-12)) - thr
 
     delta = 1e-3 * t_cross
-    lo, hi = t_cross - delta, t_cross + delta
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0 or r_hi == 0.0:
-        return
-    if math.copysign(1.0, r_lo) == math.copysign(1.0, r_hi):
+    lo = max(t_cross - delta, 0.5 * (region.lo + t_cross))
+    hi = min(t_cross + delta, 0.5 * (t_cross + region.hi))
+    try:
+        certified = brentq(residual, lo, hi, xtol=1e-10 * t_cross)
+    except ValueError as exc:
         raise RuntimeError(
             f"oracle does not bracket the crossing at t={t_cross}"
-        )
-    while hi - lo > 1e-10 * t_cross:
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if r_mid == 0.0:
-            lo = hi = mid
-            break
-        if math.copysign(1.0, r_mid) == math.copysign(1.0, r_lo):
-            lo, r_lo = mid, r_mid
-        else:
-            hi = mid
-    certified = 0.5 * (lo + hi)
+        ) from exc
     if abs(certified - t_cross) > CERTIFY_TOL * max(1.0, t_cross):
         raise RuntimeError(
             f"closed-form crossing {t_cross} disagrees with oracle "
-            f"bisection {certified}"
+            f"root {certified}"
         )
 
 
@@ -450,18 +417,17 @@ def superlevel_measure(
         regions = _regions_lambda(op, f)
     else:
         regions = _regions_lambda_star(op, f)
-    raw: list[tuple[float, float, bool, bool]] = []
+    raw: list[tuple[float, float]] = []
     for region in regions:
-        raw.extend(_region_intervals(region, threshold))
-    raw.sort(key=lambda item: item[0])
-    if certify:
-        for u, v, u_cross, v_cross in raw:
-            if u_cross:
-                _certify_crossing(op, f, u, threshold)
-            if v_cross:
-                _certify_crossing(op, f, v, threshold)
+        for u, v, u_cross, v_cross in _region_intervals(region, threshold):
+            if certify and u_cross:
+                _certify_crossing(op, f, region, u, threshold)
+            if certify and v_cross:
+                _certify_crossing(op, f, region, v, threshold)
+            raw.append((u, v))
+    raw.sort()
     merged: list[list[float]] = []
-    for u, v, _, _ in raw:
+    for u, v in raw:
         if merged and u - merged[-1][1] <= 1e-12 * max(1.0, u):
             merged[-1][1] = v
         else:

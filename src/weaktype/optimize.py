@@ -361,10 +361,17 @@ class PushCheckRecord:
     y_cap: float
 
 
-def _ratio_grid_over_z(x: float, y: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized general asymptotic ratio at fixed (x, y) over a z-array."""
+def _ratio_grid_over_z(x: float, y, z: np.ndarray) -> np.ndarray:
+    """Vectorized general asymptotic ratio at fixed x over y and z.
+
+    ``y`` is a scalar or an array broadcasting against ``z``, such as a
+    column for a (y, z) slab.  exp(y) and exp(-y) are taken with math.exp
+    element by element, so a slab agrees bit for bit with scalar-y calls.
+    """
     ex = math.exp(x)
-    ey = math.exp(y)
+    scalar_exp = np.vectorize(math.exp, otypes=[float])
+    ey = scalar_exp(y)
+    e_neg_y = scalar_exp(np.negative(y))
     base = math.log(2.0 * ex - 2.0)
     with np.errstate(divide="ignore"):
         shifted = base - np.log(2.0 - z)
@@ -375,7 +382,7 @@ def _ratio_grid_over_z(x: float, y: float, z: np.ndarray) -> np.ndarray:
         z >= 1.0,
         -y + z * (ey - 1.0),
         np.where(
-            z <= math.exp(-y),
+            z <= e_neg_y,
             y - z * (ey - 1.0),
             -2.0 * np.log(np.maximum(z, 1e-300)) - y + z * (ey + 1.0) - 2.0,
         ),
@@ -387,7 +394,8 @@ def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> 
     """Max over the capped grid of (general asymptotic ratio - curve supremum).
 
     A nonpositive result (up to grid tolerance) means no admissible (x, y, z)
-    beats the curve supremum.
+    beats the curve supremum.  Each x is one (y, z) slab; the first maximum
+    in (x, y, z) order wins ties.
     """
     if grid_resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {grid_resolution}")
@@ -399,12 +407,11 @@ def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> 
     for x in xs:
         z_lo = 2.0 * (2.0 - math.exp(x))
         zs = np.linspace(z_lo, 2.0 - 1e-9, grid_resolution)
-        for y in ys:
-            ratios = _ratio_grid_over_z(x, y, zs)
-            index = int(np.argmax(ratios))
-            if ratios[index] > worst:
-                worst = float(ratios[index])
-                worst_point = (float(x), float(y), float(zs[index]))
+        ratios = _ratio_grid_over_z(x, ys[:, None], zs)
+        row, col = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+        if ratios[row, col] > worst:
+            worst = float(ratios[row, col])
+            worst_point = (float(x), float(ys[row]), float(zs[col]))
     ray_ok = True
     for scale_a, scale_b in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0)):
         for z in (0.5, 1.0, 1.9):

@@ -185,7 +185,7 @@ def _suite_plateau_adjoint(seed: int) -> CheckReport:
 def _suite_oracle(seed: int) -> CheckReport:
     collector = _Collector()
     rng = _rng(seed, 3)
-    # closed form vs adaptive Simpson at sample points
+    # closed form vs QUADPACK quadrature at sample points
     for _ in range(200):
         params = _random_spec(rng)
         f = families.build_spec(params)

@@ -111,6 +111,17 @@ class TestGeneralRatio:
         assert report.ratio == pytest.approx(oracle.ratio, abs=1e-8)
         assert oracle.source is RatioSource.ORACLE
 
+    def test_matches_oracle_with_crossing_near_piece_boundary(self):
+        # the crossing at 5.38548 lies 1.9e-3 beyond d = 5.38357, inside the
+        # +-1e-3 * t certification bracket; the bracket must stay in its region
+        params = GeneralFamilyParams(
+            3, 1.0, 1.8328294285440396, 3.2852571327372413, 5.383574343756783
+        )
+        from weaktype.families import build_general
+
+        oracle = oracle_ratio(lambda_op(3), build_general(params))
+        assert general_ratio(params).ratio == pytest.approx(oracle.ratio, abs=1e-8)
+
     def test_no_overshoot_at_unit_excess(self):
         # d placed exactly where the mass term hits -1: d_hat collapses to d
         m, b, c = 1, 1.1, 3.0

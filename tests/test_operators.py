@@ -96,12 +96,34 @@ class TestQuadratureOracle:
             1.0, abs=1e-8
         )
 
-    def test_singular_integrand_signals_failure(self):
-        # p = -1.4 is integrable against sqrt(s) but the quadrature cannot
-        # resolve the singularity at 0 within its depth bound
+    def test_singular_integrand_converges(self):
+        # p = -1.4 is integrable against sqrt(s); QUADPACK's extrapolation
+        # resolves the endpoint singularity at 0
         f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 0.0, 1.0, -1.4),))
+        op = lambda_op(1)
+        assert apply_quadrature_oracle(op, f, 0.5) == pytest.approx(
+            apply_closed_form(op, f, 0.5), abs=1e-8
+        )
+
+    def test_singular_integrand_signals_failure(self):
+        # at p = -1.49 the integrand s**-0.99 is too close to non-integrable
+        # for QUADPACK to reach the tolerance; it must say so, not guess
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 0.0, 1.0, -1.49),))
         with pytest.raises(QuadratureError):
             apply_quadrature_oracle(lambda_op(1), f, 0.5)
+
+    def test_underflowed_prefactor_far_beyond_support(self):
+        # (1+m) * t**(-1-m/2) underflows to 0 at t = 1e100 for m = 8
+        f = PiecewisePowerFunction((PowerPiece(1.0, 2.0, 1.0, 0.0, 0.0),))
+        op = lambda_op(8)
+        assert apply_quadrature_oracle(op, f, 1e100) == apply_closed_form(op, f, 1e100)
+
+    def test_adjoint_family_inside_tolerance(self):
+        # a restricted adjoint family on which a loose oracle misses 1e-8
+        f = build_star_spec(FStarSpecParams(3, 0.7639275686137361, 0.2986008480383443))
+        op = lambda_star_op(3)
+        closed = apply_closed_form(op, f, 0.651304)
+        assert abs(closed - apply_quadrature_oracle(op, f, 0.651304)) <= 1e-8
 
 
 class TestSuperlevel:
@@ -228,6 +250,22 @@ class TestClosedFormVsOracleSweep:
             f = build_spec(FSpecParams(m, b, d))
             op = lambda_op(m)
             for t in rng.uniform(0.3, 1.5 * d, size=10):
+                closed = apply_closed_form(op, f, float(t))
+                quad = apply_quadrature_oracle(op, f, float(t))
+                assert abs(closed - quad) < 1e-8
+
+    def test_adjoint_agreement_across_random_families(self):
+        rng = np.random.default_rng(8)
+        from weaktype.families import b_star_max, b_star_min, d_star_max, d_star_min
+
+        for _ in range(20):
+            m = int(rng.integers(1, 9))
+            u, v = rng.uniform(0.05, 0.95, 2)
+            bs = b_star_min(m) + u * (b_star_max(m) - b_star_min(m))
+            ds = d_star_min(bs, m) + v * (d_star_max(bs, m) - d_star_min(bs, m))
+            f = build_star_spec(FStarSpecParams(m, bs, ds))
+            op = lambda_star_op(m)
+            for t in rng.uniform(0.5 * ds, 1.5, size=10):
                 closed = apply_closed_form(op, f, float(t))
                 quad = apply_quadrature_oracle(op, f, float(t))
                 assert abs(closed - quad) < 1e-8

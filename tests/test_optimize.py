@@ -21,6 +21,7 @@ from weaktype.functionals import W
 from weaktype.optimize import (
     Method,
     UNIFORM_BOUND_CONSTANTS,
+    _ratio_grid_over_z,
     aux_low_x_supremum,
     aux_suprema,
     bound_134,
@@ -252,6 +253,24 @@ class TestPushCheck:
                     continue
                 value = asymptotic_general(AsymptoticPoint(float(x), float(y), z))
                 assert value <= supremum + 1e-9
+
+    @pytest.mark.parametrize("resolution", [16, 32])
+    def test_slabs_match_scalar_loop(self, resolution):
+        # reference: one z-vector per (x, y), first maximum wins
+        worst, worst_point = -math.inf, (0.0, 0.0, 0.0)
+        xs = np.linspace(1e-6, 3.0, resolution)
+        ys = np.linspace(1e-6, 5.0, resolution)
+        for x in xs:
+            zs = np.linspace(2.0 * (2.0 - math.exp(x)), 2.0 - 1e-9, resolution)
+            for y in ys:
+                ratios = _ratio_grid_over_z(x, y, zs)
+                index = int(np.argmax(ratios))
+                if ratios[index] > worst:
+                    worst = float(ratios[index])
+                    worst_point = (float(x), float(y), float(zs[index]))
+        record = push_check(resolution)
+        assert record.max_violation == worst - curve_supremum()
+        assert record.worst_point == worst_point
 
     def test_finer_grid_never_finds_excess(self):
         coarse = push_check(16)
