@@ -1,7 +1,8 @@
 """Command-line entry point: reproduce the bound tables, export curve data,
 and run verification suites, with CSV or JSON output.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure (including an optimizer that did
+not converge), 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class OutputConfig:
 
 
 def _format_number(value, precision: int) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{value:.{precision}g}"
@@ -138,20 +141,14 @@ def cmd_verify(args) -> int:
     if out.format == "json":
         _write(verify.reports_to_json(reports, out.precision) + "\n", out)
     else:
-        header = ["name", "status", "worst_residual", "tolerance", "seed"]
-        rows = [
-            [r.name, r.status.value, r.worst_residual, r.tolerance, r.seed]
-            for r in reports
-        ]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    v if isinstance(v, str) else _format_number(v, out.precision)
-                    for v in row
-                )
-            )
-        _write("\n".join(lines) + "\n", out)
+        _emit_rows(
+            ["name", "status", "worst_residual", "tolerance", "seed"],
+            [
+                [r.name, r.status.value, r.worst_residual, r.tolerance, r.seed]
+                for r in reports
+            ],
+            out,
+        )
     failing = [r.name for r in reports if r.status is verify.Status.FAIL]
     if failing:
         sys.stderr.write(f"failing suites: {', '.join(failing)}\n")
@@ -251,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OSError as exc:
         sys.stderr.write(f"write failed: {exc}\n")
+        return 1
+    except optimize.ConvergenceError as exc:
+        sys.stderr.write(f"optimizer failed: {exc}\n")
         return 1
     except ValueError as exc:
         parser.error(str(exc))

@@ -21,6 +21,7 @@ from .families import FSpecParams
 from .functionals import LOG_2, LOG_32, W, W_star
 
 __all__ = [
+    "ConvergenceError",
     "Method",
     "OptimumRecord",
     "DualityRecord",
@@ -100,19 +101,42 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12,
     return best_x, best_value
 
 
+class ConvergenceError(RuntimeError):
+    """An optimizer stopped without meeting its convergence criteria."""
+
+
+def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
+    """W over the feasibility-mapped grid ticks x ticks, one array evaluation.
+
+    Row i holds b at ticks[i] of the b-range, column j holds d at ticks[j] of
+    [d_min(b), d_max(b)], exactly as maximize_W maps (u, v).  A cell whose
+    denominator is nonpositive or not finite reads -inf.
+    """
+    lo_b, hi_b = families.b_min(m), families.b_max(m)
+    b = lo_b + ticks[:, None] * (hi_b - lo_b) * (1.0 - 1e-9)
+    d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
+    d = d_lo + ticks * (d_hi - d_lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denominator = functionals.w_denominator(b, d, m)
+        feasible = np.isfinite(denominator) & (denominator > 0.0)
+        return np.where(feasible, (d - 1.0) / denominator, -math.inf)
+
+
 def maximize_W(
     m: int, grid_resolution: int = 64, refine_tol: float = 1e-10
 ) -> OptimumRecord:
     """Grid over the feasible region mapped to the unit square, then Nelder-Mead.
 
-    Ties on the grid break toward smaller b, then smaller d.  The refinement
-    objective clips (u, v) to the unit square, so the search never leaves the
-    closure of the feasible region.  Deterministic for fixed inputs.
+    The grid is evaluated as one array; ties on it break toward smaller b,
+    then smaller d, and the winning cell is evaluated again by scalar W.  The
+    refinement objective clips (u, v) to the unit square, so the search never
+    leaves the closure of the feasible region.  ``evaluations`` counts every
+    grid cell and every Nelder-Mead evaluation.  Deterministic for fixed
+    inputs; raises ConvergenceError when Nelder-Mead does not converge.
     """
     if grid_resolution < 2:
         raise ValueError(f"grid_resolution must be at least 2, got {grid_resolution}")
     lo_b, hi_b = families.b_min(m), families.b_max(m)
-    evaluations = 0
 
     def bd_of(u: float, v: float) -> tuple[float, float]:
         u = min(max(u, 0.0), 1.0)
@@ -122,8 +146,6 @@ def maximize_W(
         return b, d_lo + v * (d_hi - d_lo)
 
     def value(u: float, v: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
         b, d = bd_of(u, v)
         try:
             return W(b, d, m)
@@ -131,12 +153,12 @@ def maximize_W(
             return -math.inf
 
     ticks = np.linspace(0.0, 1.0, grid_resolution)
-    best = (-math.inf, 0.0, 0.0)
-    for u in ticks:
-        for v in ticks:
-            candidate = value(u, v)
-            if candidate > best[0]:
-                best = (candidate, u, v)
+    row, col = np.unravel_index(
+        int(np.argmax(_grid_values(m, ticks))), (grid_resolution, grid_resolution)
+    )
+    # numpy's array pow may differ from libm's in the last bit, so the
+    # fallback below compares against the scalar value of the winning cell
+    best = (value(ticks[row], ticks[col]), ticks[row], ticks[col])
 
     result = minimize(
         lambda uv: -value(uv[0], uv[1]),
@@ -144,6 +166,11 @@ def maximize_W(
         method="Nelder-Mead",
         options={"xatol": refine_tol, "fatol": refine_tol, "maxiter": 2000},
     )
+    if not result.success:
+        raise ConvergenceError(
+            f"Nelder-Mead did not converge for m={m}: {result.message}"
+        )
+    evaluations = grid_resolution ** 2 + result.nfev
     u_best, v_best = result.x
     b, d = bd_of(u_best, v_best)
     final = W(b, d, m)

@@ -512,7 +512,7 @@ def _suite_bound134(seed: int, m_range: tuple[int, int] = (1, 200)) -> CheckRepo
                 1.34 - record.rational_bound,
             )
     ms = np.arange(25, 10001, dtype=float)
-    rational = np.array([optimize.rational_lower_bound(m) for m in ms])
+    rational = optimize.rational_lower_bound(ms)
     collector.bound(
         "rational bound >= 1.34 for 25..10^4", bool((rational >= 1.34).all())
     )
@@ -520,7 +520,7 @@ def _suite_bound134(seed: int, m_range: tuple[int, int] = (1, 200)) -> CheckRepo
     collector.bound("u0(25)/25 <= 0.072", optimize.u0(25) / 25.0 <= 0.072)
     ms_all = np.arange(1, 10001, dtype=float)
     for quad_bound in (0.0, 3.3, 10.0):
-        values = np.array([optimize.bound_poly(m, quad_bound) for m in ms_all])
+        values = optimize.bound_poly(ms_all, quad_bound)
         collector.bound(
             f"bound polynomial positive at {quad_bound}", bool((values > 0.0).all())
         )

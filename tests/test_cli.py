@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from weaktype import verify
+from weaktype import optimize, verify
 from weaktype.cli import OutputConfig, main
 from weaktype.verify import CheckReport, Status
 
@@ -163,6 +163,36 @@ class TestVerify:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][0] == "bound134" and rows[0][1] == "Pass"
+
+    def test_csv_matches_pinned_output(self, capsys):
+        code, out = run_cli(
+            capsys, ["verify", "--suites", "eigen,table1", "--format", "csv"]
+        )
+        assert code == 0
+        assert out == (
+            "name,status,worst_residual,tolerance,seed\n"
+            "eigen,Pass,7.19992954e-11,1e-10,0\n"
+            "table1,Pass,0.495429973,1,0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args", [["table1", "--m", "1"], ["verify", "--suites", "table1"]]
+    )
+    def test_optimizer_failure_exits_one(self, capsys, monkeypatch, args):
+        real_minimize = optimize.minimize
+
+        def failing(*a, **kw):
+            result = real_minimize(*a, **kw)
+            result.success = False
+            return result
+
+        monkeypatch.setattr(optimize, "minimize", failing)
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("optimizer failed: Nelder-Mead")
+        assert captured.err.count("\n") == 1
 
     def test_write_failure_exits_one(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"

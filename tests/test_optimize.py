@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from weaktype import families, optimize
+from weaktype import families, functionals, optimize
 from weaktype.families import (
     B_SP,
     B_STAR_SP,
@@ -17,10 +19,12 @@ from weaktype.families import (
     t_0,
     t_0_star,
 )
-from weaktype.functionals import W
+from weaktype.functionals import DenominatorError, W
 from weaktype.optimize import (
+    ConvergenceError,
     Method,
     UNIFORM_BOUND_CONSTANTS,
+    _grid_values,
     _ratio_grid_over_z,
     aux_low_x_supremum,
     aux_suprema,
@@ -46,6 +50,72 @@ TABLE = {
 }
 
 
+def _cell(m, u, v):
+    """(b, d) of the grid cell (u, v), mapped as maximize_W maps it."""
+    lo_b, hi_b = b_min(m), b_max(m)
+    b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
+    d_lo, d_hi = d_min(b, m), d_max(b, m)
+    return b, d_lo + v * (d_hi - d_lo)
+
+
+def _scalar_W(m, u, v):
+    try:
+        return W(*_cell(m, u, v), m)
+    except DenominatorError:
+        return -math.inf
+
+
+def _loop_grid(m, grid_resolution):
+    """Reference: one scalar W per cell; the first strict maximum wins."""
+    ticks = np.linspace(0.0, 1.0, grid_resolution)
+    values = np.empty((grid_resolution, grid_resolution))
+    best, best_cell = -math.inf, (0, 0)
+    for i, u in enumerate(ticks):
+        for j, v in enumerate(ticks):
+            values[i, j] = candidate = _scalar_W(m, u, v)
+            if candidate > best:
+                best, best_cell = candidate, (i, j)
+    return values, best_cell
+
+
+_cached_loop_grid = functools.lru_cache(maxsize=None)(_loop_grid)
+
+
+def _reference_maximize_W(m, grid_resolution, loop_grid=_cached_loop_grid):
+    """maximize_W with its grid scanned by the scalar loop."""
+    ticks = np.linspace(0.0, 1.0, grid_resolution)
+    _, (i, j) = loop_grid(m, grid_resolution)
+    evaluations = grid_resolution ** 2
+
+    def value(u, v):
+        nonlocal evaluations
+        evaluations += 1
+        return _scalar_W(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
+
+    result = minimize(
+        lambda uv: -value(uv[0], uv[1]),
+        x0=np.array([ticks[i], ticks[j]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
+    )
+    best = _scalar_W(m, ticks[i], ticks[j])
+    b, d = _cell(m, *np.clip(result.x, 0.0, 1.0))
+    final = W(b, d, m)
+    if final < best:
+        b, d = _cell(m, ticks[i], ticks[j])
+        final = W(b, d, m)
+    return optimize.OptimumRecord(
+        m, b, d, final, evaluations, Method.GRID_THEN_NELDER_MEAD
+    )
+
+
+_GRID_CASES = [
+    (m, resolution)
+    for m in (*range(1, 9), 40, 80, 160, 200)
+    for resolution in (2, 64, 200)
+]
+
+
 class TestMaximizeW:
     def test_m1_matches_reference(self):
         record = maximize_W(1)
@@ -65,6 +135,68 @@ class TestMaximizeW:
     def test_optimum_is_feasible(self):
         record = maximize_W(2)
         families.FSpecParams(2, record.b, record.d, closure=True)
+
+
+class TestMaximizeWGrid:
+    @pytest.mark.parametrize("m,resolution", _GRID_CASES)
+    def test_picks_the_loop_cell(self, m, resolution):
+        grid = _grid_values(m, np.linspace(0.0, 1.0, resolution))
+        _, cell = _cached_loop_grid(m, resolution)
+        assert np.unravel_index(int(np.argmax(grid)), grid.shape) == cell
+
+    @pytest.mark.parametrize("m,resolution", _GRID_CASES)
+    def test_values_match_scalar_W(self, m, resolution):
+        # array pow may differ from libm pow in the last bit, and W raises b
+        # and d to powers near m/2, which scales a last-bit difference by m
+        grid = _grid_values(m, np.linspace(0.0, 1.0, resolution))
+        values, _ = _cached_loop_grid(m, resolution)
+        rtol = 8.0 * (m + 2.0) * np.finfo(float).eps
+        np.testing.assert_allclose(grid, values, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("m,resolution", _GRID_CASES)
+    def test_record_matches_loop_reference(self, m, resolution):
+        assert maximize_W(m, resolution) == _reference_maximize_W(m, resolution)
+
+    def test_nonpositive_denominator_never_wins(self, monkeypatch):
+        m, resolution = 2, 64
+        ticks = np.linspace(0.0, 1.0, resolution)
+        _, (i, j) = _loop_grid(m, resolution)
+        b_win, d_win = _cell(m, ticks[i], ticks[j])
+        true_denominator = functionals.w_denominator
+
+        def patched(b, d, m):
+            # cells with d near or above the unpatched winner's are infeasible:
+            # a negative denominator for smaller b, NaN for the rest
+            denominator = true_denominator(b, d, m)
+            bad = np.where(b < b_win, -denominator, math.nan)
+            return np.where(d < d_win * (1.0 - 1e-9), denominator, bad)
+
+        monkeypatch.setattr(functionals, "w_denominator", patched)
+        b, d = np.broadcast_arrays(*_cell(m, ticks[:, None], ticks))
+        grid = _grid_values(m, ticks)
+        cut = d >= d_win * (1.0 - 1e-9)
+        assert cut.any() and (b[cut] < b_win).any() and (b[cut] > b_win).any()
+        assert (grid[cut] == -math.inf).all()
+        assert np.isfinite(grid[~cut]).all()
+        winner = np.unravel_index(int(np.argmax(grid)), grid.shape)
+        assert not cut[winner]
+        assert winner == _loop_grid(m, resolution)[1] != (i, j)
+        # uncached: the cached loop grids were scanned without the patch
+        reference = _reference_maximize_W(m, resolution, loop_grid=_loop_grid)
+        assert maximize_W(m, resolution) == reference
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        real_minimize = optimize.minimize
+
+        def failing(*args, **kwargs):
+            result = real_minimize(*args, **kwargs)
+            result.success = False
+            result.message = "Maximum number of iterations has been exceeded."
+            return result
+
+        monkeypatch.setattr(optimize, "minimize", failing)
+        with pytest.raises(ConvergenceError, match="m=2"):
+            maximize_W(2)
 
 
 class TestDOpt:
