@@ -9,12 +9,12 @@ constructions and the uniform lower bound 1.34.
 
 from .families import (
     ConstraintViolation,
-    DomainBoundaries,
     FSpecParams,
     FStarSpecParams,
     GeneralFamilyParams,
-    boundaries,
+    GeneralStarFamilyParams,
     build_general,
+    build_general_star,
     build_spec,
     build_star_spec,
 )

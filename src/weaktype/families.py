@@ -5,13 +5,16 @@ The general family stitches (2+m)/m + B*t**(m/2) on (a, b] against
 maps the function to +1 on (a, b) and -1 on (c, d).  The restricted family
 fixes a = 1 and c = b and constrains (b, d) to the open region where the
 second piece changes sign and stays below 2 at d.  The adjoint families
-mirror this construction with the kernel exponent -1 - m/2 on the unit-scale
+mirror this construction with the kernel exponent -1 - m/2: the general one
+stitches -m/(2+m) + D*t**(-1-m/2) on (d*, c*] against
+m/(2+m) + B*t**(-1-m/2) on (b*, a*], mapped to -1 and +1 by the adjoint
+operator, and the restricted one fixes a* = 1 and c* = b* on the unit-scale
 side d_* < b_* < 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .piecewise import PiecewisePowerFunction, PowerPiece
 
@@ -19,9 +22,9 @@ __all__ = [
     "ConstraintViolation",
     "ConstraintDiagnostic",
     "GeneralFamilyParams",
+    "GeneralStarFamilyParams",
     "FSpecParams",
     "FStarSpecParams",
-    "DomainBoundaries",
     "B_SP",
     "B_STAR_SP",
     "b_min",
@@ -38,10 +41,11 @@ __all__ = [
     "d_star_max",
     "general_B",
     "general_D",
+    "general_D_star",
     "spec_D",
     "star_spec_D",
-    "boundaries",
     "build_general",
+    "build_general_star",
     "build_spec",
     "build_star_spec",
     "validate",
@@ -151,58 +155,26 @@ def general_D(a: float, b: float, c: float, m: int) -> float:
     )
 
 
+def _general_B_star(a_star: float, m: int) -> float:
+    return -2.0 * (1.0 + m) * a_star ** (1.0 + m / 2.0) / (2.0 + m)
+
+
+def general_D_star(a_star: float, b_star: float, c_star: float, m: int) -> float:
+    """Coefficient of the inner adjoint piece: the adjoint twin of general_D."""
+    lead = 2.0 * (1.0 + m) * c_star ** (1.0 + m / 2.0) / (2.0 + m)
+    ratio = c_star / b_star
+    return (
+        lead * (1.0 + ratio ** (m / 2.0))
+        + _general_B_star(a_star, m) * ratio ** (1.0 + m)
+    )
+
+
 def spec_D(b: float, m: int) -> float:
     return 2.0 * (1.0 + m) / m * (2.0 * b ** (-m / 2.0) - 1.0)
 
 
 def star_spec_D(b_star: float, m: int) -> float:
     return 2.0 * (1.0 + m) / (2.0 + m) * (2.0 * b_star ** (1.0 + m / 2.0) - 1.0)
-
-
-@dataclass(frozen=True)
-class DomainBoundaries:
-    """All boundary functions of the feasible regions for one m, as callables."""
-
-    m: int
-    b_min: float = field(init=False)
-    b_max: float = field(init=False)
-    b_tilde_max: float = field(init=False)
-    b_sp: float = B_SP
-    b_star_min: float = field(init=False)
-    b_star_max: float = field(init=False)
-    b_tilde_star_min: float = field(init=False)
-    b_star_sp: float = B_STAR_SP
-
-    def __post_init__(self) -> None:
-        _check_m(self.m)
-        object.__setattr__(self, "b_min", b_min(self.m))
-        object.__setattr__(self, "b_max", b_max(self.m))
-        object.__setattr__(self, "b_tilde_max", b_tilde_max(self.m))
-        object.__setattr__(self, "b_star_min", b_star_min(self.m))
-        object.__setattr__(self, "b_star_max", b_star_max(self.m))
-        object.__setattr__(self, "b_tilde_star_min", b_tilde_star_min(self.m))
-
-    def t_0(self, b: float) -> float:
-        return t_0(b, self.m)
-
-    def d_min(self, b: float) -> float:
-        return d_min(b, self.m)
-
-    def d_max(self, b: float) -> float:
-        return d_max(b, self.m)
-
-    def t_0_star(self, b_star: float) -> float:
-        return t_0_star(b_star, self.m)
-
-    def d_star_min(self, b_star: float) -> float:
-        return d_star_min(b_star, self.m)
-
-    def d_star_max(self, b_star: float) -> float:
-        return d_star_max(b_star, self.m)
-
-
-def boundaries(m: int) -> DomainBoundaries:
-    return DomainBoundaries(m)
 
 
 # --- parameter types ---------------------------------------------------------
@@ -217,6 +189,18 @@ def validate_general(
         ConstraintDiagnostic("b > a", b - a, b > a),
         ConstraintDiagnostic("c >= b", c - b, c >= b),
         ConstraintDiagnostic("d > c", d - c, d > c),
+    ]
+
+
+def _validate_general_star(
+    m: int, a_star: float, b_star: float, c_star: float, d_star: float
+) -> list[ConstraintDiagnostic]:
+    _check_m(m)
+    return [
+        ConstraintDiagnostic("d* > 0", d_star, d_star > 0.0),
+        ConstraintDiagnostic("c* > d*", c_star - d_star, c_star > d_star),
+        ConstraintDiagnostic("b* >= c*", b_star - c_star, b_star >= c_star),
+        ConstraintDiagnostic("a* > b*", a_star - b_star, a_star > b_star),
     ]
 
 
@@ -319,6 +303,27 @@ class GeneralFamilyParams:
 
 
 @dataclass(frozen=True)
+class GeneralStarFamilyParams:
+    """Parameters (m, a*, b*, c*, d*) of the general adjoint family.
+
+    Requires 0 < d* < c* <= b* < a*.
+    """
+
+    m: int
+    a_star: float
+    b_star: float
+    c_star: float
+    d_star: float
+
+    def __post_init__(self) -> None:
+        _raise_on_failure(
+            _validate_general_star(
+                self.m, self.a_star, self.b_star, self.c_star, self.d_star
+            )
+        )
+
+
+@dataclass(frozen=True)
 class FSpecParams:
     """A point (b, d) of the restricted feasible region for parameter m.
 
@@ -354,6 +359,10 @@ def validate(params) -> list[ConstraintDiagnostic]:
     """Signed slack of every feasibility inequality for the given parameters."""
     if isinstance(params, GeneralFamilyParams):
         return validate_general(params.m, params.a, params.b, params.c, params.d)
+    if isinstance(params, GeneralStarFamilyParams):
+        return _validate_general_star(
+            params.m, params.a_star, params.b_star, params.c_star, params.d_star
+        )
     if isinstance(params, FSpecParams):
         return validate_spec(params.m, params.b, params.d, params.closure)
     if isinstance(params, FStarSpecParams):
@@ -373,6 +382,20 @@ def build_general(params: GeneralFamilyParams) -> PiecewisePowerFunction:
         (
             PowerPiece(a, b, (2.0 + m) / m, general_B(a, m), half),
             PowerPiece(c, d, -(2.0 + m) / m, general_D(a, b, c, m), half),
+        )
+    )
+
+
+def build_general_star(params: GeneralStarFamilyParams) -> PiecewisePowerFunction:
+    """The general adjoint two-piece function: -1 on (d*, c*), +1 on (b*, a*)."""
+    m, a_s, b_s = params.m, params.a_star, params.b_star
+    c_s, d_s = params.c_star, params.d_star
+    neg = -1.0 - m / 2.0
+    coeff_d = general_D_star(a_s, b_s, c_s, m)
+    return PiecewisePowerFunction(
+        (
+            PowerPiece(d_s, c_s, -m / (2.0 + m), coeff_d, neg),
+            PowerPiece(b_s, a_s, m / (2.0 + m), _general_B_star(a_s, m), neg),
         )
     )
 

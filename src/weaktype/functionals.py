@@ -4,8 +4,8 @@ For the restricted families the superlevel set of the transformed function is
 a single interval and the L1 norm has an explicit primitive, so the ratio
 |superlevel| / L1 collapses to the closed forms ``W`` and ``W_star``.
 The general-family ratios add the mass-overshoot
-corrections b_hat and d_hat and an absolute-value integral split at the sign
-change of the second piece.  The large-m limits of these ratios live on the
+corrections b_hat and d_hat, and take the L1 norm of the second piece from
+``l1_norm``.  The large-m limits of these ratios live on the
 (x, y, z) coordinates handled by ``asymptotic_restricted`` and
 ``asymptotic_general``.
 """
@@ -17,9 +17,13 @@ import math
 from dataclasses import dataclass
 
 from . import families
-from .families import ConstraintViolation, GeneralFamilyParams
+from .families import (
+    ConstraintViolation,
+    GeneralFamilyParams,
+    GeneralStarFamilyParams,
+)
 from .operators import OperatorKind, superlevel_measure
-from .piecewise import PiecewisePowerFunction, l1_norm
+from .piecewise import PiecewisePowerFunction, PowerPiece, l1_norm
 
 __all__ = [
     "DenominatorError",
@@ -133,33 +137,6 @@ def gill_bound(m: float) -> float:
 
 # --- general-family ratios ----------------------------------------------------
 
-def _abs_power_integral(const: float, coeff: float, half: float,
-                        lo: float, hi: float) -> float:
-    """``\\int_lo^hi |const + coeff * t**half| dt`` split at the sign change."""
-
-    def primitive(t: float) -> float:
-        return const * t + coeff * t ** (1.0 + half) / (1.0 + half)
-
-    split = None
-    if coeff != 0.0:
-        ratio = -const / coeff
-        if ratio > 0.0 and math.isfinite(ratio):
-            try:
-                candidate = ratio ** (1.0 / half)
-            except OverflowError:
-                candidate = math.inf
-            if lo < candidate < hi:
-                split = candidate
-    if split is None:
-        mid = math.sqrt(lo * hi)
-        sign = 1.0 if const + coeff * mid ** half >= 0.0 else -1.0
-        return sign * (primitive(hi) - primitive(lo))
-    left_sign = 1.0 if const + coeff * math.sqrt(lo * split) ** half >= 0.0 else -1.0
-    return left_sign * (primitive(split) - primitive(lo)) - left_sign * (
-        primitive(hi) - primitive(split)
-    )
-
-
 def general_ratio(params: GeneralFamilyParams) -> RatioReport:
     """Exact ratio for the general family with a = 1.
 
@@ -179,28 +156,24 @@ def general_ratio(params: GeneralFamilyParams) -> RatioReport:
     d_hat = max(d, d * overshoot_d ** (2.0 / (2.0 + m)))
 
     numerator = (b_hat - 1.0) + (d_hat - c)
+    second = PowerPiece(c, d, -(2.0 + m) / m, dd, half)
     denominator = (
         m / (2.0 + m)
         - (2.0 + m) / m * b
         + 4.0 * (1.0 + m) / (m * (2.0 + m)) * b ** (1.0 + half)
-        + _abs_power_integral(-(2.0 + m) / m, dd, half, c, d)
+        + l1_norm(PiecewisePowerFunction((second,)))
     )
     return RatioReport.from_parts(numerator, denominator, RatioSource.CLOSED_FORM)
 
 
-def general_ratio_star(
-    m: int, b_star: float, c_star: float, d_star: float
-) -> RatioReport:
+def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
     """Exact ratio for the general adjoint family with a* = 1."""
-    if not (0.0 < d_star < c_star <= b_star < 1.0):
-        raise ConstraintViolation(
-            f"need 0 < d* < c* <= b* < 1, got ({d_star}, {c_star}, {b_star})"
-        )
-    families._check_m(m)
+    if params.a_star != 1.0:
+        raise ValueError("general_ratio_star requires a* = 1 (reduce by scaling)")
+    m, b_star, c_star, d_star = params.m, params.b_star, params.c_star, params.d_star
     half = m / 2.0
     neg = -1.0 - half
-    lead = 2.0 * (1.0 + m) * c_star ** (1.0 + half) / (2.0 + m)
-    dd = lead * (1.0 + (c_star / b_star) ** half * (1.0 - b_star ** neg))
+    dd = families.general_D_star(1.0, b_star, c_star, m)
 
     overshoot_b = -1.0 - m / (2.0 + m) + 2.0 * (1.0 + m) / (2.0 + m) * b_star ** neg
     b_hat = max(c_star, min(b_star * overshoot_b ** (-2.0 / m), b_star))
@@ -208,45 +181,14 @@ def general_ratio_star(
     d_hat = min(d_star, d_star * overshoot_d ** (-2.0 / m))
 
     numerator = (1.0 - b_hat) + (c_star - d_hat)
+    inner = PowerPiece(d_star, c_star, -m / (2.0 + m), dd, neg)
     denominator = (
         -(2.0 + m) / m
         + m / (2.0 + m) * b_star
         + 4.0 * (1.0 + m) / (m * (2.0 + m)) * b_star ** (-half)
-        + _abs_star_integral(-m / (2.0 + m), dd, m, d_star, c_star)
+        + l1_norm(PiecewisePowerFunction((inner,)))
     )
     return RatioReport.from_parts(numerator, denominator, RatioSource.CLOSED_FORM)
-
-
-def _abs_star_integral(const: float, coeff: float, m: int,
-                       lo: float, hi: float) -> float:
-    """``\\int_lo^hi |const + coeff * t**(-1-m/2)| dt`` split at the sign change."""
-    half = m / 2.0
-
-    def primitive(t: float) -> float:
-        return const * t - coeff * t ** (-half) / half
-
-    split = None
-    if coeff != 0.0:
-        ratio = -const / coeff
-        if ratio > 0.0 and math.isfinite(ratio):
-            try:
-                candidate = ratio ** (-2.0 / (2.0 + m))
-            except OverflowError:
-                candidate = math.inf
-            if lo < candidate < hi:
-                split = candidate
-    if split is None:
-        mid = math.sqrt(lo * hi)
-        sign = 1.0 if const + coeff * mid ** (-1.0 - half) >= 0.0 else -1.0
-        return sign * (primitive(hi) - primitive(lo))
-    left_sign = (
-        1.0
-        if const + coeff * math.sqrt(lo * split) ** (-1.0 - half) >= 0.0
-        else -1.0
-    )
-    return left_sign * (primitive(split) - primitive(lo)) - left_sign * (
-        primitive(hi) - primitive(split)
-    )
 
 
 def oracle_ratio(

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .piecewise import (
     PiecewisePowerFunction,
     PowerPiece,
+    _piece_moment,
     evaluate,
     moment_integral,
-    power_integral,
 )
 
 __all__ = [
@@ -179,9 +179,12 @@ def apply_quadrature_oracle(
 # --- structural superlevel sets -------------------------------------------
 #
 # A region is a maximal interval on which Tf is a single closed-form
-# expression A * t**q + C:
-#   * forward gaps and the tail carry the accumulated mass: A * t**(-1-m/2);
-#   * adjoint gaps and the head below the support carry A * t**(m/2);
+# expression A * t**q + C, where q = -1 - w for the kernel weight w (m/2
+# forward, -1-m/2 adjoint).  One walker sweeps the pieces in the direction
+# the operator integrates (ascending from 0 forward, descending from the top
+# of the support for the adjoint) and carries the mass of f(s) s**w swept so
+# far:
+#   * gaps, the forward tail and the adjoint head carry that mass: A * t**q;
 #   * inside a piece c0 + c1*t**p, extending the piece expression to a global
 #     power function leaves A * t**q plus the eigen-image of the expression.
 # Pieces whose eigen-image keeps a second non-constant power term (possible
@@ -206,65 +209,51 @@ def _negligible(coeff: float, q: float, lo: float, hi: float, scale: float) -> b
     return mag <= 1e-11 * scale
 
 
-def _regions_lambda(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
+def _piece_primitive(pc: PowerPiece, weight: float, t: float) -> float:
+    """Antiderivative of the piece expression times s**weight, at t.
+
+    It vanishes at 0 for the forward weight and at infinity for the adjoint
+    one, so it is the expression's mass over (0, t] forward and minus its
+    mass over [t, inf) for the adjoint.
+    """
+    e0 = weight + 1.0
+    total = 0.0
+    if pc.c0 != 0.0:
+        total += pc.c0 * t ** e0 / e0
+    if pc.c1 != 0.0:
+        e1 = pc.p + e0
+        total += pc.c1 * t ** e1 / e1
+    return total
+
+
+def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
     m = op.m
-    q = -1.0 - m / 2.0
-    lam0 = m / (2.0 + m)
+    forward = op.kind is Kind.LAMBDA
+    weight = m / 2.0 if forward else -1.0 - m / 2.0
+    q = -1.0 - weight
+    sign = 1.0 if forward else -1.0
+    lam0 = eigenvalue(op, 0.0)
     regions: list[_Region] = []
-    accumulated = 0.0  # integral of f(s) s**(m/2) over (0, current position]
-    position = 0.0
-    for pc in f.pieces:
-        if pc.t_lo > position:
-            regions.append(
-                _Region(position, pc.t_lo, (1.0 + m) * accumulated, q, 0.0)
-            )
-        if pc.p <= q + 1e-12:
+    mass = 0.0  # integral of f(s) s**weight between the sweep's start and position
+    position = 0.0 if forward else f.support()[1]
+    for pc in f.pieces if forward else reversed(f.pieces):
+        near, far = (pc.t_lo, pc.t_hi) if forward else (pc.t_hi, pc.t_lo)
+        if near != position:
+            lo, hi = (position, near) if forward else (near, position)
+            regions.append(_Region(lo, hi, (1.0 + m) * mass, q, 0.0))
+        if forward and pc.p <= q + 1e-12:
             raise ValueError(
                 f"piece exponent {pc.p} is not integrable against the weight"
             )
-        ext_lo = _piece_extension_moment(pc, m / 2.0, pc.t_lo)
-        coeff = (1.0 + m) * (accumulated - ext_lo)
-        const = pc.c0 * lam0
-        lam_p = (m / 2.0 - pc.p) / (1.0 + pc.p + m / 2.0)
-        pow_coeff = pc.c1 * lam_p
-        if pc.p == 0.0:
-            const += pow_coeff
-            pow_coeff = 0.0
-        scale = max(1.0, abs(const))
-        if _negligible(pow_coeff, pc.p, pc.t_lo, pc.t_hi, scale):
-            regions.append(_Region(pc.t_lo, pc.t_hi, coeff, q, const))
-        elif _negligible(coeff, q, pc.t_lo, pc.t_hi, scale):
-            regions.append(_Region(pc.t_lo, pc.t_hi, pow_coeff, pc.p, const))
-        else:
-            raise ValueError(
-                "piece does not reduce to a two-term power expression under "
-                f"the forward operator (p={pc.p}, m={m})"
-            )
-        accumulated += _piece_moment_over(pc, m / 2.0)
-        position = pc.t_hi
-    regions.append(_Region(position, math.inf, (1.0 + m) * accumulated, q, 0.0))
-    return regions
-
-
-def _regions_lambda_star(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
-    m = op.m
-    q = m / 2.0
-    lam0 = (2.0 + m) / m
-    regions: list[_Region] = []
-    tail = 0.0  # integral of f(s) s**(-1-m/2) over (current position, inf)
-    position = f.support()[1]
-    for pc in reversed(f.pieces):
-        if pc.t_hi < position:
-            regions.append(_Region(pc.t_hi, position, (1.0 + m) * tail, q, 0.0))
-        if pc.p >= q - 1e-12:
+        if not forward and pc.p >= q - 1e-12:
             raise ValueError(
                 f"piece exponent {pc.p} is not tail-integrable against the weight"
             )
-        ext_hi = _piece_extension_tail(pc, m, pc.t_hi)
-        coeff = (1.0 + m) * (tail - ext_hi)
+        # A * t**q is the swept mass less what the extended piece expression
+        # would have put between the sweep's start and the piece
+        coeff = (1.0 + m) * (mass - sign * _piece_primitive(pc, weight, near))
         const = pc.c0 * lam0
-        lam_p = (1.0 + pc.p + m / 2.0) / (m / 2.0 - pc.p)
-        pow_coeff = pc.c1 * lam_p
+        pow_coeff = pc.c1 * eigenvalue(op, pc.p)
         if pc.p == 0.0:
             const += pow_coeff
             pow_coeff = 0.0
@@ -276,44 +265,16 @@ def _regions_lambda_star(op: OperatorKind, f: PiecewisePowerFunction) -> list[_R
         else:
             raise ValueError(
                 "piece does not reduce to a two-term power expression under "
-                f"the adjoint operator (p={pc.p}, m={m})"
+                f"the {'forward' if forward else 'adjoint'} operator "
+                f"(p={pc.p}, m={m})"
             )
-        tail += _piece_moment_over(pc, -1.0 - m / 2.0)
-        position = pc.t_lo
-    if position > 0.0:
-        regions.append(_Region(0.0, position, (1.0 + m) * tail, q, 0.0))
-    return sorted(regions, key=lambda r: r.lo)
-
-
-def _piece_moment_over(pc, weight: float) -> float:
-    total = 0.0
-    if pc.c0 != 0.0:
-        total += pc.c0 * power_integral(weight, pc.t_lo, pc.t_hi)
-    if pc.c1 != 0.0:
-        total += pc.c1 * power_integral(pc.p + weight, pc.t_lo, pc.t_hi)
-    return total
-
-
-def _piece_extension_moment(pc, weight: float, upto: float) -> float:
-    """Integral of the piece expression times t**weight over (0, upto]."""
-    total = 0.0
-    if pc.c0 != 0.0:
-        total += pc.c0 * upto ** (weight + 1.0) / (weight + 1.0)
-    if pc.c1 != 0.0:
-        e1 = pc.p + weight + 1.0
-        total += pc.c1 * upto ** e1 / e1
-    return total
-
-
-def _piece_extension_tail(pc, m: int, from_t: float) -> float:
-    """Integral of the piece expression times t**(-1-m/2) over [from_t, inf)."""
-    half = m / 2.0
-    total = 0.0
-    if pc.c0 != 0.0:
-        total += pc.c0 * from_t ** (-half) / half
-    if pc.c1 != 0.0:
-        total += pc.c1 * from_t ** (pc.p - half) / (half - pc.p)
-    return total
+        mass += _piece_moment(pc, weight, pc.t_lo, pc.t_hi)
+        position = far
+    end = math.inf if forward else 0.0
+    if position != end:
+        lo, hi = (position, end) if forward else (end, position)
+        regions.append(_Region(lo, hi, (1.0 + m) * mass, q, 0.0))
+    return regions if forward else regions[::-1]
 
 
 def _region_value(region: _Region, t: float) -> float:
@@ -413,12 +374,8 @@ def superlevel_measure(
         raise ValueError(f"threshold must be positive, got {threshold}")
     if not f.pieces:
         return SuperlevelResult(0.0, ())
-    if op.kind is Kind.LAMBDA:
-        regions = _regions_lambda(op, f)
-    else:
-        regions = _regions_lambda_star(op, f)
     raw: list[tuple[float, float]] = []
-    for region in regions:
+    for region in _regions(op, f):
         for u, v, u_cross, v_cross in _region_intervals(region, threshold):
             if certify and u_cross:
                 _certify_crossing(op, f, region, u, threshold)

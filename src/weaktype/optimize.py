@@ -502,14 +502,15 @@ _AUX_SPECS = (
     ("diagonal", _aux_diagonal, 1e-9, LOG_32, 1.18),
     ("curve-branch", _aux_curve_branch, LOG_32, LOG_2 - 1e-9, 1.3),
     ("z-edge", _aux_z_edge, 1.0, 2.0, 1.1),
+    ("low-x-branch", _aux_low_x_branch, 1e-9, LOG_32, 1.1),
 )
 
 
 def aux_suprema(scan_samples: int = 2000) -> list[AuxSupremumRecord]:
-    """Maximize the four auxiliary one-variable ratios over their intervals.
+    """Maximize the five auxiliary one-variable ratios over their intervals.
 
     Each is scanned on a dense grid and refined by golden section; the
-    reported suprema respect the declared bounds 1.1, 1.18, 1.3, 1.1, with
+    reported suprema respect the declared bounds 1.1, 1.18, 1.3, 1.1, 1.1, with
     the diagonal supremum equal to ln(3/2) / (3/4 - ln(3/2)) attained at the
     right endpoint.
     """
@@ -524,15 +525,3 @@ def aux_suprema(scan_samples: int = 2000) -> list[AuxSupremumRecord]:
         out.append(AuxSupremumRecord(name, lo, hi, argmax, supremum, bound))
     return out
 
-
-def aux_low_x_supremum(scan_samples: int = 2000) -> AuxSupremumRecord:
-    """The companion low-x branch, also bounded by 1.1."""
-    grid = np.linspace(1e-9, LOG_32, scan_samples)
-    values = [_aux_low_x_branch(x) for x in grid]
-    index = int(np.argmax(values))
-    argmax, supremum = _golden_max(
-        _aux_low_x_branch,
-        grid[max(0, index - 1)],
-        grid[min(scan_samples - 1, index + 1)],
-    )
-    return AuxSupremumRecord("low-x-branch", 1e-9, LOG_32, argmax, supremum, 1.1)

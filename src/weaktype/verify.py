@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, functionals, operators, optimize
-from .families import FSpecParams, FStarSpecParams, GeneralFamilyParams
+from .families import (
+    FSpecParams,
+    FStarSpecParams,
+    GeneralFamilyParams,
+    GeneralStarFamilyParams,
+)
 from .functionals import W, W_star, gill_bound
 from .operators import lambda_op, lambda_star_op
 
@@ -140,23 +145,6 @@ def _suite_plateau(seed: int) -> CheckReport:
     return collector.report("plateau", seed, tolerance=1e-9)
 
 
-def _build_star_general(m: int, a_s: float, b_s: float, c_s: float, d_s: float):
-    from .piecewise import PiecewisePowerFunction, PowerPiece
-
-    neg = -1.0 - m / 2.0
-    coeff_b = -2.0 * (1.0 + m) * a_s ** (1.0 + m / 2.0) / (2.0 + m)
-    lead = 2.0 * (1.0 + m) * c_s ** (1.0 + m / 2.0) / (2.0 + m)
-    coeff_d = lead * (1.0 + (c_s / b_s) ** (m / 2.0)) + coeff_b * (c_s / b_s) ** (
-        1.0 + m
-    )
-    return PiecewisePowerFunction(
-        (
-            PowerPiece(d_s, c_s, -m / (2.0 + m), coeff_d, neg),
-            PowerPiece(b_s, a_s, m / (2.0 + m), coeff_b, neg),
-        )
-    )
-
-
 def _suite_plateau_adjoint(seed: int) -> CheckReport:
     collector = _Collector()
     rng = _rng(seed, 2)
@@ -166,7 +154,9 @@ def _suite_plateau_adjoint(seed: int) -> CheckReport:
         b_s = a_s * rng.uniform(0.4, 0.95)
         c_s = b_s if rng.uniform() < 0.3 else b_s * rng.uniform(0.4, 0.99)
         d_s = c_s * rng.uniform(0.3, 0.9)
-        f = _build_star_general(m, a_s, b_s, c_s, d_s)
+        f = families.build_general_star(
+            GeneralStarFamilyParams(m, a_s, b_s, c_s, d_s)
+        )
         op = lambda_star_op(m)
         worst = 0.0
         for frac in np.linspace(0.02, 0.98, 20):
@@ -553,12 +543,6 @@ def _suite_aux_suprema(seed: int) -> CheckReport:
         "diagonal attained at right endpoint",
         diagonal.argmax - functionals.LOG_32,
         1e-6,
-    )
-    low_x = optimize.aux_low_x_supremum()
-    collector.bound(
-        f"{low_x.name} <= {low_x.bound}",
-        low_x.within_bound,
-        low_x.supremum - low_x.bound,
     )
     return collector.report("aux_suprema", seed)
 

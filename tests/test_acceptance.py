@@ -216,13 +216,13 @@ def test_criterion_11_auxiliary_suprema():
     records = optimize.aux_suprema()
     exact = math.log(1.5) / (0.75 - math.log(1.5))
     ok = (
-        [r.bound for r in records] == [1.1, 1.18, 1.3, 1.1]
+        [r.bound for r in records] == [1.1, 1.18, 1.3, 1.1, 1.1]
         and all(r.within_bound for r in records)
         and abs(records[1].supremum - exact) <= 1e-9
         and abs(records[1].argmax - math.log(1.5)) <= 1e-6
     )
-    report(11, ok, "four auxiliary suprema respect 1.1, 1.18 (exact value at "
-                   "the right endpoint), 1.3, 1.1")
+    report(11, ok, "five auxiliary suprema respect 1.1, 1.18 (exact value at "
+                   "the right endpoint), 1.3, 1.1, 1.1")
     assert ok
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,13 @@ class TestVerify:
             "eigen,Pass,7.19992954e-11,1e-10,0\n"
             "table1,Pass,0.495429973,1,0\n"
         )
+
+    def test_json_matches_pinned_output(self, capsys):
+        # every suite at seed 0, byte for byte: refactors must not move a digit
+        pinned = Path(__file__).with_name("verify_seed0.json").read_text()
+        code, out = run_cli(capsys, ["verify", "--seed", "0", "--format", "json"])
+        assert code == 0
+        assert out == pinned
 
     @pytest.mark.parametrize(
         "args", [["table1", "--m", "1"], ["verify", "--suites", "table1"]]

@@ -11,12 +11,15 @@ from weaktype.families import (
     FSpecParams,
     FStarSpecParams,
     GeneralFamilyParams,
+    GeneralStarFamilyParams,
     b_max,
     b_min,
     b_star_max,
     b_star_min,
-    boundaries,
+    b_tilde_max,
+    b_tilde_star_min,
     build_general,
+    build_general_star,
     build_spec,
     build_star_spec,
     d_max,
@@ -58,6 +61,50 @@ class TestBuildGeneral:
             GeneralFamilyParams(1, 1.0, 0.9, 2.0, 3.0)
         with pytest.raises(ConstraintViolation):
             GeneralFamilyParams(1, 1.0, 2.0, 1.5, 3.0)
+
+
+class TestBuildGeneralStar:
+    def test_reduces_to_restricted_at_a1_cb(self):
+        params = GeneralStarFamilyParams(1, 1.0, 0.649, 0.649, 0.15)
+        general = build_general_star(params)
+        restricted = build_star_spec(FStarSpecParams(1, 0.649, 0.15))
+        for t in np.linspace(0.151, 0.999, 50):
+            assert evaluate(general, float(t)) == pytest.approx(
+                evaluate(restricted, float(t)), rel=1e-12, abs=1e-12
+            )
+
+    def test_adjoint_image_is_minus_one_then_one(self):
+        params = GeneralStarFamilyParams(2, 2.3, 1.4, 0.9, 0.5)
+        f = build_general_star(params)
+        op = lambda_star_op(2)
+        for t in np.linspace(0.51, 0.89, 9):
+            assert apply_closed_form(op, f, float(t)) == pytest.approx(-1.0, abs=1e-9)
+        for t in np.linspace(1.41, 2.29, 9):
+            assert apply_closed_form(op, f, float(t)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_coefficient_at_unit_scale_without_gap(self):
+        # a* = 1, c* = b*: the inner coefficient is the restricted star_spec_D
+        m, bs = 3, 0.7
+        assert families.general_D_star(1.0, bs, bs, m) == pytest.approx(
+            star_spec_D(bs, m), rel=1e-13
+        )
+
+    def test_bad_ordering_rejected(self):
+        with pytest.raises(ConstraintViolation):
+            GeneralStarFamilyParams(1, 1.0, 1.2, 0.5, 0.3)
+        with pytest.raises(ConstraintViolation):
+            GeneralStarFamilyParams(1, 1.0, 0.5, 0.6, 0.3)
+        with pytest.raises(ConstraintViolation):
+            GeneralStarFamilyParams(1, 1.0, 0.6, 0.5, 0.5)
+        with pytest.raises(ConstraintViolation):
+            GeneralStarFamilyParams(1, 1.0, 0.6, 0.5, 0.0)
+
+    def test_validate_accepts_params(self):
+        diagnostics = validate(GeneralStarFamilyParams(2, 1.0, 0.8, 0.6, 0.3))
+        assert [diag.name for diag in diagnostics] == [
+            "d* > 0", "c* > d*", "b* >= c*", "a* > b*"
+        ]
+        assert all(diag.satisfied for diag in diagnostics)
 
 
 class TestBuildSpec:
@@ -116,18 +163,16 @@ class TestBuildStarSpec:
 
 class TestBoundaries:
     def test_m1_interval(self):
-        bounds = boundaries(1)
-        assert bounds.b_min == pytest.approx(1.5625, abs=1e-14)
-        assert bounds.b_max == pytest.approx(4.0, abs=1e-14)
-        assert bounds.b_sp == pytest.approx(7.0 ** (2.0 / 3.0), abs=1e-14)
-        assert bounds.b_tilde_max == bounds.b_sp
+        assert b_min(1) == pytest.approx(1.5625, abs=1e-14)
+        assert b_max(1) == pytest.approx(4.0, abs=1e-14)
+        assert B_SP == pytest.approx(7.0 ** (2.0 / 3.0), abs=1e-14)
+        assert b_tilde_max(1) == B_SP
 
     def test_m1_adjoint_interval(self):
-        bounds = boundaries(1)
-        assert bounds.b_star_min == pytest.approx(2.0 ** (-2.0 / 3.0), abs=1e-14)
-        assert bounds.b_star_max == pytest.approx((4.0 / 7.0) ** (2.0 / 3.0), abs=1e-14)
-        assert bounds.b_star_sp == pytest.approx(0.63004, abs=1e-5)
-        assert bounds.b_star_min < 0.63 < bounds.b_star_sp < 0.68 < bounds.b_star_max
+        assert b_star_min(1) == pytest.approx(2.0 ** (-2.0 / 3.0), abs=1e-14)
+        assert b_star_max(1) == pytest.approx((4.0 / 7.0) ** (2.0 / 3.0), abs=1e-14)
+        assert B_STAR_SP == pytest.approx(0.63004, abs=1e-5)
+        assert b_star_min(1) < 0.63 < B_STAR_SP < 0.68 < b_star_max(1)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
     def test_d_min_at_b_min_closes_the_corner(self, m):
@@ -135,9 +180,8 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("m", [2, 5])
     def test_tilde_bounds_collapse_for_m_ge_2(self, m):
-        bounds = boundaries(m)
-        assert bounds.b_tilde_max == bounds.b_max
-        assert bounds.b_tilde_star_min == bounds.b_star_min
+        assert b_tilde_max(m) == b_max(m)
+        assert b_tilde_star_min(m) == b_star_min(m)
 
     def test_t_0_equals_d_min_and_adjoint(self):
         rng = np.random.default_rng(3)

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from weaktype import optimize
+from weaktype import operators, optimize
 from weaktype.families import (
     ConstraintViolation,
     FSpecParams,
     FStarSpecParams,
     GeneralFamilyParams,
+    GeneralStarFamilyParams,
     b_min,
+    build_general,
+    build_general_star,
     build_spec,
     build_star_spec,
     d_max,
@@ -32,7 +35,7 @@ from weaktype.functionals import (
     gill_bound,
     oracle_ratio,
 )
-from weaktype.operators import lambda_op, lambda_star_op
+from weaktype.operators import Kind, lambda_op, lambda_star_op, superlevel_measure
 
 
 def truncated(value: float, digits: int = 3) -> float:
@@ -140,16 +143,17 @@ class TestGeneralRatio:
 class TestGeneralRatioStar:
     def test_collapses_to_W_star_on_restricted_points(self):
         params = FStarSpecParams(2, 0.75, 0.45)
-        report = general_ratio_star(2, params.b_star, params.b_star, params.d_star)
+        report = general_ratio_star(
+            GeneralStarFamilyParams(2, 1.0, params.b_star, params.b_star, params.d_star)
+        )
         assert report.ratio == pytest.approx(
             W_star(params.b_star, params.d_star, 2), abs=1e-12
         )
 
     def test_matches_oracle_with_gap(self):
-        report = general_ratio_star(2, 0.8, 0.6, 0.3)
-        from weaktype.verify import _build_star_general
-
-        f = _build_star_general(2, 1.0, 0.8, 0.6, 0.3)
+        params = GeneralStarFamilyParams(2, 1.0, 0.8, 0.6, 0.3)
+        report = general_ratio_star(params)
+        f = build_general_star(params)
         oracle = oracle_ratio(lambda_star_op(2), f)
         assert report.ratio == pytest.approx(oracle.ratio, abs=1e-8)
 
@@ -161,13 +165,15 @@ class TestGeneralRatioStar:
         dd = lead * (1.0 + (c_star / b_star) ** (m / 2.0) * (1.0 - b_star ** neg))
         d_star = ((1.0 + m / (2.0 + m) + 1.0) / dd) ** (-1.0 / (1.0 + m / 2.0))
         assert d_star < c_star
-        report = general_ratio_star(m, b_star, c_star, d_star)
+        report = general_ratio_star(
+            GeneralStarFamilyParams(m, 1.0, b_star, c_star, d_star)
+        )
         d_hat_part = report.numerator - (1.0 - b_star)
         assert d_hat_part == pytest.approx(c_star - d_star, abs=1e-9)
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ConstraintViolation):
-            general_ratio_star(2, 0.6, 0.8, 0.3)
+            GeneralStarFamilyParams(2, 1.0, 0.6, 0.8, 0.3)
 
 
 class TestOracleRatio:
@@ -315,3 +321,57 @@ class TestOracleEquivalenceSweep:
                 lambda_star_op(m), build_star_spec(FStarSpecParams(m, bs, ds))
             )
             assert abs(W_star(bs, ds, m) - report.ratio) <= 1e-7
+
+
+def _random_general_pair(rng):
+    """A forward and an adjoint general family at unit scale; 70% have a gap."""
+    m = int(rng.integers(1, 9))
+    b = float(rng.uniform(1.05, 2.0))
+    c = b if rng.uniform() < 0.3 else b * float(rng.uniform(1.0, 2.0))
+    d = c * float(rng.uniform(1.05, 2.5))
+    bs = float(rng.uniform(0.4, 0.95))
+    cs = bs if rng.uniform() < 0.3 else bs * float(rng.uniform(0.4, 0.99))
+    ds = cs * float(rng.uniform(0.3, 0.9))
+    return GeneralFamilyParams(m, 1.0, b, c, d), GeneralStarFamilyParams(
+        m, 1.0, bs, cs, ds
+    )
+
+
+class TestGeneralOracleSweep:
+    def test_closed_forms_match_certified_oracle(self, monkeypatch):
+        certified = []
+        real_certify = operators._certify_crossing
+
+        def counting(op, f, region, t_cross, thr):
+            certified.append(op.kind)
+            return real_certify(op, f, region, t_cross, thr)
+
+        monkeypatch.setattr(operators, "_certify_crossing", counting)
+        rng = np.random.default_rng(20240)
+        gaps = {Kind.LAMBDA: 0, Kind.LAMBDA_STAR: 0}
+        overshoots = dict(gaps)
+        off_boundary = dict(gaps)
+        for _ in range(150):
+            params, star = _random_general_pair(rng)
+            cases = (
+                (lambda_op(params.m), build_general(params), general_ratio(params),
+                 (1.0, params.b, params.c, params.d),
+                 (params.b - 1.0) + (params.d - params.c)),
+                (lambda_star_op(star.m), build_general_star(star),
+                 general_ratio_star(star),
+                 (star.d_star, star.c_star, star.b_star, 1.0),
+                 (1.0 - star.b_star) + (star.c_star - star.d_star)),
+            )
+            for op, f, closed, edges, design in cases:
+                assert abs(closed.ratio - oracle_ratio(op, f).ratio) <= 1e-8
+                gaps[op.kind] += edges[1] < edges[2]
+                overshoots[op.kind] += closed.numerator > design * (1.0 + 1e-12)
+                intervals = superlevel_measure(op, f, certify=False).intervals
+                ends = [u for interval in intervals for u in interval]
+                off_boundary[op.kind] += any(
+                    min(abs(u - edge) for edge in edges) > 1e-9 * u for u in ends
+                )
+        for kind in (Kind.LAMBDA, Kind.LAMBDA_STAR):
+            assert gaps[kind] > 0 and overshoots[kind] > 0
+            assert off_boundary[kind] > 0
+            assert certified.count(kind) >= off_boundary[kind]

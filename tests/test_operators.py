@@ -8,7 +8,9 @@ from weaktype.families import (
     FSpecParams,
     FStarSpecParams,
     GeneralFamilyParams,
+    GeneralStarFamilyParams,
     build_general,
+    build_general_star,
     build_spec,
     build_star_spec,
     d_max,
@@ -162,24 +164,20 @@ class TestSuperlevel:
 
     def test_adjoint_general_family_with_overshoot(self):
         # b* < b*_max(1) pushes |T f| above 1 on part of the gap (c*, b*)
-        from weaktype.functionals import general_ratio_star
-        from weaktype.verify import _build_star_general
-
-        f = _build_star_general(1, 1.0, 0.6, 0.24, 0.1)
+        params = GeneralStarFamilyParams(1, 1.0, 0.6, 0.24, 0.1)
+        f = build_general_star(params)
         result = superlevel_measure(lambda_star_op(1), f, certify=True)
-        report = general_ratio_star(1, 0.6, 0.24, 0.1)
+        report = functionals.general_ratio_star(params)
         assert result.measure == pytest.approx(report.numerator, rel=1e-9)
         assert len(result.intervals) == 2
 
     def test_full_gap_overshoot_merges_intervals(self):
         # a deeper overshoot covers the whole gap and the head extension,
         # leaving one merged interval
-        from weaktype.functionals import general_ratio_star
-        from weaktype.verify import _build_star_general
-
-        f = _build_star_general(1, 1.0, 0.55, 0.35, 0.2)
+        params = GeneralStarFamilyParams(1, 1.0, 0.55, 0.35, 0.2)
+        f = build_general_star(params)
         result = superlevel_measure(lambda_star_op(1), f, certify=True)
-        report = general_ratio_star(1, 0.55, 0.35, 0.2)
+        report = functionals.general_ratio_star(params)
         assert result.measure == pytest.approx(report.numerator, rel=1e-9)
         assert len(result.intervals) == 1
 

@@ -26,7 +26,6 @@ from weaktype.optimize import (
     UNIFORM_BOUND_CONSTANTS,
     _grid_values,
     _ratio_grid_over_z,
-    aux_low_x_supremum,
     aux_suprema,
     bound_134,
     bound_poly,
@@ -417,9 +416,9 @@ class TestPushCheck:
 
 
 class TestAuxSuprema:
-    def test_four_bounds(self):
+    def test_five_bounds(self):
         records = aux_suprema()
-        assert [r.bound for r in records] == [1.1, 1.18, 1.3, 1.1]
+        assert [r.bound for r in records] == [1.1, 1.18, 1.3, 1.1, 1.1]
         assert all(r.within_bound for r in records)
 
     def test_diagonal_exact_value(self):
@@ -435,5 +434,6 @@ class TestAuxSuprema:
         assert records[2].supremum <= 1.3
 
     def test_companion_low_x_branch(self):
-        record = aux_low_x_supremum()
+        record = aux_suprema()[4]
+        assert record.name == "low-x-branch"
         assert record.supremum <= 1.1
