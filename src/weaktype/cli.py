@@ -99,11 +99,8 @@ def cmd_table1(args) -> int:
 def cmd_curves(args) -> int:
     out = _output_config(args)
     m = args.m
-    lo = families.b_min(m)
-    # the right endpoint diverges for m >= 2, so stop just inside it
-    hi = families.b_tilde_max(m) if m == 1 else families.b_max(m) * (1.0 - 1e-9)
     rows = []
-    for b in np.linspace(lo, hi, args.samples):
+    for b in np.linspace(families.b_min(m), optimize._curve_scan_end(m), args.samples):
         b = float(b)
         d_at = optimize.d_opt(b, m)
         rows.append(
@@ -122,11 +119,10 @@ def cmd_curves(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     out = _output_config(args)
-    x_inf = optimize.x_infinity(1e-10)
     rows = [
         [
-            x_inf,
-            1.0 / (np.exp(x_inf) - 1.0),
+            optimize.x_infinity(1e-10),
+            optimize.curve_supremum(1e-10),
             functionals.asymptotic_restricted(0.548, 1.164),
         ]
     ]
@@ -240,10 +236,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"m must be >= 1, got {args.m}")
         if args.samples < 2:
             parser.error(f"samples must be >= 2, got {args.samples}")
-    if args.command == "verify":
-        unknown = [s for s in args.suites if s != "all" and s not in verify.SUITE_NAMES]
-        if unknown:
-            parser.error(f"unknown suites: {', '.join(unknown)}")
     try:
         return args.func(args)
     except OSError as exc:

@@ -5,9 +5,10 @@ a single interval and the L1 norm has an explicit primitive, so the ratio
 |superlevel| / L1 collapses to the closed forms ``W`` and ``W_star``.
 The general-family ratios add the mass-overshoot
 corrections b_hat and d_hat, and take the L1 norm of the second piece from
-``l1_norm``.  The large-m limits of these ratios live on the
-(x, y, z) coordinates handled by ``asymptotic_restricted`` and
-``asymptotic_general``.
+``l1_norm``.  The large-m closed forms on the (x, y, z) coordinates live
+here too: ``asymptotic_restricted``, and the general ratio
+``_asymptotic_ratio`` over arrays of y and z, which ``asymptotic_general``
+evaluates at one point and ``optimize.push_check`` slab by slab.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import families
 from .families import (
@@ -244,29 +247,41 @@ def asymptotic_restricted(x: float, y: float) -> float:
     return (x + y) / denominator
 
 
-def _x_hat(x: float, z: float) -> float:
+def _asymptotic_terms(x: float, y, z):
+    """x_hat, y_hat and int_0^y |-1 + z e^s| ds of the general ratio.
+
+    ``x`` is a scalar; ``y`` is a scalar or an array broadcasting against
+    ``z``, such as a column for a (y, z) slab.  exp(y) and exp(-y) are taken
+    with math.exp element by element, so a slab agrees bit for bit with
+    scalar-y calls.  The integral is split at s = -ln z.
+    """
+    scalar_exp = np.vectorize(math.exp, otypes=[float])
+    ey = scalar_exp(y)
+    e_neg_y = scalar_exp(np.negative(y))
     base = math.log(2.0 * math.exp(x) - 2.0)
-    shifted = base - math.log(2.0 - z) if z < 2.0 else math.inf
-    return x + min(max(0.0, base), shifted)
+    with np.errstate(divide="ignore"):
+        shifted = base - np.log(2.0 - z)
+    x_hat = x + np.minimum(np.maximum(0.0, base), shifted)
+    magnitude = np.abs(-2.0 + z * ey)
+    y_hat = y + np.where(magnitude > 1.0, np.log(np.maximum(magnitude, 1e-300)), 0.0)
+    integral = np.where(
+        z >= 1.0,
+        -y + z * (ey - 1.0),
+        np.where(
+            z <= e_neg_y,
+            y - z * (ey - 1.0),
+            -2.0 * np.log(np.maximum(z, 1e-300)) - y + z * (ey + 1.0) - 2.0,
+        ),
+    )
+    return x_hat, y_hat, integral
 
 
-def _y_hat(y: float, z: float) -> float:
-    magnitude = abs(-2.0 + z * math.exp(y))
-    return y + (math.log(magnitude) if magnitude > 1.0 else 0.0)
-
-
-def _abs_exp_integral(y: float, z: float) -> float:
-    """``\\int_0^y |-1 + z e^s| ds`` in closed form, split at s = -ln z."""
-    if z >= 1.0:
-        return -y + z * (math.exp(y) - 1.0)
-    if z <= math.exp(-y):
-        return y - z * (math.exp(y) - 1.0)
-    return -2.0 * math.log(z) - y + z * (math.exp(y) + 1.0) - 2.0
+def _asymptotic_ratio(x: float, y, z):
+    """Large-m ratio of the general family at fixed x over arrays of y and z."""
+    x_hat, y_hat, integral = _asymptotic_terms(x, y, z)
+    return (x_hat + y_hat) / (2.0 * math.exp(x) - x - 2.0 + integral)
 
 
 def asymptotic_general(point: AsymptoticPoint) -> float:
     """Large-m ratio of the general family in (x, y, z) coordinates."""
-    x, y, z = point.x, point.y, point.z
-    numerator = _x_hat(x, z) + _y_hat(y, z)
-    denominator = 2.0 * math.exp(x) - x - 2.0 + _abs_exp_integral(y, z)
-    return numerator / denominator
+    return float(_asymptotic_ratio(point.x, point.y, point.z))

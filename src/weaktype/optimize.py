@@ -1,5 +1,8 @@
 """Maximization, root finding, the optimal curves, duality, and uniform bounds.
 
+This module searches the closed forms of ``functionals``; ``curve_supremum``
+and ``UNIFORM_BOUND_CONSTANTS`` are the one home of their values.
+
 All searches are deterministic: a fixed feasibility-mapped grid feeds a
 Nelder-Mead refinement (reflection 1, expansion 2, contraction 0.5, shrink
 0.5, clipped to the feasible closure), one-dimensional scans feed
@@ -105,17 +108,22 @@ class ConvergenceError(RuntimeError):
     """An optimizer stopped without meeting its convergence criteria."""
 
 
+def _feasibility_map(m: int, u, v):
+    """(b, d) at the unit-square point (u, v), as scalars or broadcast arrays."""
+    lo_b, hi_b = families.b_min(m), families.b_max(m)
+    b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
+    d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
+    return b, d_lo + v * (d_hi - d_lo)
+
+
 def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
     """W over the feasibility-mapped grid ticks x ticks, one array evaluation.
 
     Row i holds b at ticks[i] of the b-range, column j holds d at ticks[j] of
-    [d_min(b), d_max(b)], exactly as maximize_W maps (u, v).  A cell whose
-    denominator is nonpositive or not finite reads -inf.
+    [d_min(b), d_max(b)].  A cell whose denominator is nonpositive or not
+    finite reads -inf.
     """
-    lo_b, hi_b = families.b_min(m), families.b_max(m)
-    b = lo_b + ticks[:, None] * (hi_b - lo_b) * (1.0 - 1e-9)
-    d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
-    d = d_lo + ticks * (d_hi - d_lo)
+    b, d = _feasibility_map(m, ticks[:, None], ticks)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denominator = functionals.w_denominator(b, d, m)
         feasible = np.isfinite(denominator) & (denominator > 0.0)
@@ -136,14 +144,9 @@ def maximize_W(
     """
     if grid_resolution < 2:
         raise ValueError(f"grid_resolution must be at least 2, got {grid_resolution}")
-    lo_b, hi_b = families.b_min(m), families.b_max(m)
 
     def bd_of(u: float, v: float) -> tuple[float, float]:
-        u = min(max(u, 0.0), 1.0)
-        v = min(max(v, 0.0), 1.0)
-        b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
-        d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
-        return b, d_lo + v * (d_hi - d_lo)
+        return _feasibility_map(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
 
     def value(u: float, v: float) -> float:
         b, d = bd_of(u, v)
@@ -194,6 +197,12 @@ def d_opt(b: float, m: int) -> float:
     return (rhs / (2.0 * (1.0 + m) * coeff)) ** (2.0 / (2.0 + m))
 
 
+def _curve_scan_end(m: int) -> float:
+    """Right end of the forward curve scan; for m >= 2 the curve leaves the
+    feasible closure at b_max itself, so the scan stops just inside it."""
+    return families.b_tilde_max(m) if m == 1 else families.b_max(m) * (1.0 - 1e-9)
+
+
 def d_star_opt(b_star: float, m: int) -> float:
     """The d*-coordinate of the adjoint optimal curve at b* in (b*_min, b*_max].
 
@@ -233,11 +242,8 @@ def duality_map(b: float, m: int) -> DualityRecord:
 def maximize_on_curve(
     m: int, samples: int = 400, refine_tol: float = 1e-12
 ) -> OptimumRecord:
-    """Scan b -> W(b, d_opt(b)) on [b_min, b_tilde_max], then golden-section."""
-    lo = families.b_min(m)
-    hi = families.b_tilde_max(m)
-    if m >= 2:
-        hi = hi * (1.0 - 1e-9)  # the curve leaves the closure at b_max itself
+    """Scan b -> W(b, d_opt(b)) up to the curve scan end, then golden-section."""
+    lo, hi = families.b_min(m), _curve_scan_end(m)
     evaluations = 0
 
     def value(b: float) -> float:
@@ -252,12 +258,6 @@ def maximize_on_curve(
     bracket_hi = grid[min(samples - 1, index + 1)]
     b_best, best = _golden_max(value, bracket_lo, bracket_hi, refine_tol)
     return OptimumRecord(m, b_best, d_opt(b_best, m), best, evaluations, Method.CURVE_SCAN)
-
-
-def _asymptotic_on_curve(x: float) -> float:
-    """The restricted asymptotic ratio along the curve e^x = 2(2 - e^x) e^y."""
-    log_term = math.log(2.0 * (2.0 - math.exp(x)))
-    return (2.0 * x - log_term) / (math.exp(x) - 2.0 * x - log_term)
 
 
 def x_infinity(tol: float) -> float:
@@ -300,8 +300,8 @@ def bound_poly(m: float, quad_bound: float) -> float:
 
     ``quad_bound`` bounds u0(m)^2 (1 + e^delta delta / 3) from above.
     """
-    k = 4.0 * THETA * math.exp(1.5)
-    el = -4.0 * math.log(2.0 * THETA)
+    k = UNIFORM_BOUND_CONSTANTS.growth
+    el = UNIFORM_BOUND_CONSTANTS.log_shift
     return (
         (2.0 * k + 2.0 * el - 10.0) * m ** 4
         + (10.0 * k + 6.0 * el + 2.0 * quad_bound - 45.0) * m ** 3
@@ -388,35 +388,6 @@ class PushCheckRecord:
     y_cap: float
 
 
-def _ratio_grid_over_z(x: float, y, z: np.ndarray) -> np.ndarray:
-    """Vectorized general asymptotic ratio at fixed x over y and z.
-
-    ``y`` is a scalar or an array broadcasting against ``z``, such as a
-    column for a (y, z) slab.  exp(y) and exp(-y) are taken with math.exp
-    element by element, so a slab agrees bit for bit with scalar-y calls.
-    """
-    ex = math.exp(x)
-    scalar_exp = np.vectorize(math.exp, otypes=[float])
-    ey = scalar_exp(y)
-    e_neg_y = scalar_exp(np.negative(y))
-    base = math.log(2.0 * ex - 2.0)
-    with np.errstate(divide="ignore"):
-        shifted = base - np.log(2.0 - z)
-    x_hat = x + np.minimum(np.maximum(0.0, base), shifted)
-    magnitude = np.abs(-2.0 + z * ey)
-    y_hat = y + np.where(magnitude > 1.0, np.log(np.maximum(magnitude, 1e-300)), 0.0)
-    integral = np.where(
-        z >= 1.0,
-        -y + z * (ey - 1.0),
-        np.where(
-            z <= e_neg_y,
-            y - z * (ey - 1.0),
-            -2.0 * np.log(np.maximum(z, 1e-300)) - y + z * (ey + 1.0) - 2.0,
-        ),
-    )
-    return (x_hat + y_hat) / (2.0 * ex - x - 2.0 + integral)
-
-
 def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> PushCheckRecord:
     """Max over the capped grid of (general asymptotic ratio - curve supremum).
 
@@ -427,6 +398,7 @@ def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> 
     if grid_resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {grid_resolution}")
     supremum = curve_supremum()
+    ratio = functionals._asymptotic_ratio
     worst = -math.inf
     worst_point = (0.0, 0.0, 0.0)
     xs = np.linspace(1e-6, x_cap, grid_resolution)
@@ -434,7 +406,7 @@ def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> 
     for x in xs:
         z_lo = 2.0 * (2.0 - math.exp(x))
         zs = np.linspace(z_lo, 2.0 - 1e-9, grid_resolution)
-        ratios = _ratio_grid_over_z(x, ys[:, None], zs)
+        ratios = ratio(x, ys[:, None], zs)
         row, col = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
         if ratios[row, col] > worst:
             worst = float(ratios[row, col])
@@ -442,8 +414,8 @@ def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> 
     ray_ok = True
     for scale_a, scale_b in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0)):
         for z in (0.5, 1.0, 1.9):
-            a = _ratio_grid_over_z(x_cap * scale_a, y_cap * scale_a, np.array([z]))[0]
-            b = _ratio_grid_over_z(x_cap * scale_b, y_cap * scale_b, np.array([z]))[0]
+            a = ratio(x_cap * scale_a, y_cap * scale_a, np.array([z]))[0]
+            b = ratio(x_cap * scale_b, y_cap * scale_b, np.array([z]))[0]
             if b > a:
                 ray_ok = False
     return PushCheckRecord(

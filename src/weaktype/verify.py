@@ -342,8 +342,7 @@ def _suite_boundaries(seed: int) -> CheckReport:
             f"strict sandwich at b_min m={m}",
             families.d_min(lo, m) < optimize.d_opt(lo, m) < families.d_max(lo, m),
         )
-        scan_hi = families.b_tilde_max(m) if m == 1 else hi * (1.0 - 1e-9)
-        grid = np.linspace(lo, scan_hi, 40)
+        grid = np.linspace(lo, optimize._curve_scan_end(m), 40)
         d_opts = [optimize.d_opt(float(b), m) for b in grid]
         ratios = [families.t_0(float(b), m) / d for b, d in zip(grid, d_opts)]
         collector.bound(
@@ -470,7 +469,7 @@ def _suite_asymptotic(seed: int) -> CheckReport:
     collector.metric("x_infinity", x_inf - 0.54807758, 1e-7)
     sample = functionals.asymptotic_restricted(0.548, 1.164)
     collector.bound("sample value >= 1.37", sample >= 1.37, 1.37 - sample)
-    supremum = 1.0 / (math.exp(x_inf) - 1.0)
+    supremum = optimize.curve_supremum(1e-10)
     collector.bound("curve supremum >= 1.3699", supremum >= 1.3699)
     x, y = 0.548, 1.164
     m = 10 ** 4

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import weaktype
 from weaktype import optimize, verify
 from weaktype.cli import OutputConfig, main
 from weaktype.verify import CheckReport, Status
@@ -137,10 +141,14 @@ class TestVerify:
         assert payload[0]["name"] == "scaling"
         assert payload[0]["status"] == "Pass"
 
-    def test_unknown_suite_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--suites", "nope"])
-        assert excinfo.value.code == 2
+    def test_unknown_suite_is_usage_error(self, capsys):
+        for suites in ("nope", "all,nope"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "--suites", suites])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""  # rejected before any suite ran
+            assert "nope" in captured.err
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         def failing(seed):
@@ -220,3 +228,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["table1", "--m", "1", "--precision", "2"])
         assert excinfo.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_weaktype_matches_cli_module(self):
+        src = str(Path(weaktype.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        outputs = []
+        for module in ("weaktype", "weaktype.cli"):
+            result = subprocess.run(
+                [sys.executable, "-m", module, "verify", "--suites", "table1"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("name,status,worst_residual,tolerance,seed\n")

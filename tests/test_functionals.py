@@ -28,6 +28,7 @@ from weaktype.functionals import (
     RatioSource,
     W,
     W_star,
+    _asymptotic_terms,
     asymptotic_general,
     asymptotic_restricted,
     general_ratio,
@@ -258,41 +259,116 @@ class TestAsymptoticGeneral:
             AsymptoticPoint(-0.1, 1.0, 1.0)
 
 
+def _terms(x, y, z):
+    """(x_hat, y_hat, integral) from the array implementation, as floats."""
+    return tuple(float(term) for term in _asymptotic_terms(x, y, z))
+
+
 class TestCaseSeams:
     """The piecewise formulas agree where their cases meet."""
 
     def test_x_hat_seams(self):
-        from weaktype.functionals import _x_hat
-
         # at x = ln(3/2) only z >= 1 is admissible and both cases give x
         for z in (1.0, 1.5, 2.0):
-            assert _x_hat(LOG_32, z) == pytest.approx(LOG_32, abs=1e-12)
+            x_hat, _, _ = _terms(LOG_32, 1.0, z)
+            assert x_hat == pytest.approx(LOG_32, abs=1e-12)
         # z = 1 for x >= ln(3/2): the shifted branch loses its shift
         x = 0.6
         base = math.log(2.0 * math.exp(x) - 2.0)
-        assert _x_hat(x, 1.0) == pytest.approx(x + base, abs=1e-12)
+        x_hat, _, _ = _terms(x, 1.0, 1.0)
+        assert x_hat == pytest.approx(x + base, abs=1e-12)
 
     def test_y_hat_seams(self):
-        from weaktype.functionals import _y_hat
-
         y = 0.9
-        assert _y_hat(y, math.exp(-y)) == pytest.approx(y, abs=1e-12)
-        assert _y_hat(y, 3.0 * math.exp(-y)) == pytest.approx(y, abs=1e-12)
+        _, y_hat, _ = _terms(0.6, y, math.exp(-y))
+        assert y_hat == pytest.approx(y, abs=1e-12)
+        _, y_hat, _ = _terms(0.6, y, 3.0 * math.exp(-y))
+        assert y_hat == pytest.approx(y, abs=1e-12)
 
     def test_integral_seams(self):
-        from weaktype.functionals import _abs_exp_integral
-
         y = 0.8
         # z = 1: both the monotone and the split branch agree
-        assert _abs_exp_integral(y, 1.0) == pytest.approx(
-            -y + (math.exp(y) - 1.0), abs=1e-12
-        )
+        _, _, integral = _terms(0.6, y, 1.0)
+        assert integral == pytest.approx(-y + (math.exp(y) - 1.0), abs=1e-12)
         z = math.exp(-y)
         split = -2.0 * math.log(z) - y + z * (math.exp(y) + 1.0) - 2.0
-        assert _abs_exp_integral(y, z) == pytest.approx(split, abs=1e-12)
-        assert _abs_exp_integral(y, z) == pytest.approx(
-            y - z * (math.exp(y) - 1.0), abs=1e-12
-        )
+        _, _, integral = _terms(0.6, y, z)
+        assert integral == pytest.approx(split, abs=1e-12)
+        assert integral == pytest.approx(y - z * (math.exp(y) - 1.0), abs=1e-12)
+
+
+# Scalar case formulas of the general asymptotic ratio, one math call per
+# term; a reference for the array implementation in functionals.
+
+def _reference_x_hat(x: float, z: float) -> float:
+    base = math.log(2.0 * math.exp(x) - 2.0)
+    shifted = base - math.log(2.0 - z) if z < 2.0 else math.inf
+    return x + min(max(0.0, base), shifted)
+
+
+def _reference_y_hat(y: float, z: float) -> float:
+    magnitude = abs(-2.0 + z * math.exp(y))
+    return y + (math.log(magnitude) if magnitude > 1.0 else 0.0)
+
+
+def _reference_abs_exp_integral(y: float, z: float) -> float:
+    if z >= 1.0:
+        return -y + z * (math.exp(y) - 1.0)
+    if z <= math.exp(-y):
+        return y - z * (math.exp(y) - 1.0)
+    return -2.0 * math.log(z) - y + z * (math.exp(y) + 1.0) - 2.0
+
+
+def _reference_ratio(x: float, y: float, z: float) -> float:
+    numerator = _reference_x_hat(x, z) + _reference_y_hat(y, z)
+    denominator = 2.0 * math.exp(x) - x - 2.0 + _reference_abs_exp_integral(y, z)
+    return numerator / denominator
+
+
+def _integral_case(y: float, z: float) -> str:
+    if z >= 1.0:
+        return "z >= 1"
+    return "z <= e^-y" if z <= math.exp(-y) else "split"
+
+
+def _random_point(rng, region: str) -> tuple[float, float, float]:
+    """A random admissible (x, y, z) in the push grid's box, in the region."""
+    while True:
+        x = float(rng.uniform(LOG_2 if region == "x > ln 2" else 1e-6, 3.0))
+        y = float(rng.uniform(1e-6, 5.0))
+        lo, hi = 2.0 * (2.0 - math.exp(x)), 2.0
+        if region == "z >= 1":
+            lo = max(lo, 1.0)
+        elif region == "z <= e^-y":
+            hi = math.exp(-y)
+        elif region == "split":
+            lo, hi = max(lo, math.exp(-y)), 1.0
+        elif region == "z = 2 - 1e-9":
+            lo = hi = 2.0 - 1e-9
+        if lo <= hi:
+            return x, y, float(rng.uniform(lo, hi))
+
+
+class TestAsymptoticRatioReference:
+    """The array implementation against the scalar case formulas."""
+
+    @pytest.mark.parametrize(
+        "region", ["z >= 1", "z <= e^-y", "split", "z = 2 - 1e-9", "x > ln 2"]
+    )
+    def test_random_points_match_scalar_reference(self, region):
+        rng = np.random.default_rng([5, len(region)])
+        cases, negative_z = set(), 0
+        for _ in range(400):
+            x, y, z = _random_point(rng, region)
+            cases.add(_integral_case(y, z))
+            negative_z += z < 0.0
+            expected = _reference_ratio(x, y, z)
+            value = asymptotic_general(AsymptoticPoint(x, y, z))
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+        if region == "x > ln 2":
+            assert cases == {"z >= 1", "z <= e^-y", "split"} and negative_z > 0
+        elif region != "z = 2 - 1e-9":
+            assert cases == {region}
 
 
 class TestOracleEquivalenceSweep:

@@ -24,8 +24,8 @@ from weaktype.optimize import (
     ConvergenceError,
     Method,
     UNIFORM_BOUND_CONSTANTS,
+    _curve_scan_end,
     _grid_values,
-    _ratio_grid_over_z,
     aux_suprema,
     bound_134,
     bound_poly,
@@ -222,8 +222,7 @@ class TestDOpt:
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     def test_monotone_and_sandwiched(self, m):
-        hi = families.b_tilde_max(m) if m == 1 else b_max(m) * (1.0 - 1e-9)
-        grid = np.linspace(b_min(m), hi, 60)
+        grid = np.linspace(b_min(m), _curve_scan_end(m), 60)
         values = [d_opt(float(b), m) for b in grid]
         ratios = [t_0(float(b), m) / v for b, v in zip(grid, values)]
         assert all(x < y for x, y in zip(values, values[1:]))
@@ -387,6 +386,8 @@ class TestPushCheck:
 
     @pytest.mark.parametrize("resolution", [16, 32])
     def test_slabs_match_scalar_loop(self, resolution):
+        from weaktype.functionals import _asymptotic_ratio
+
         # reference: one z-vector per (x, y), first maximum wins
         worst, worst_point = -math.inf, (0.0, 0.0, 0.0)
         xs = np.linspace(1e-6, 3.0, resolution)
@@ -394,7 +395,7 @@ class TestPushCheck:
         for x in xs:
             zs = np.linspace(2.0 * (2.0 - math.exp(x)), 2.0 - 1e-9, resolution)
             for y in ys:
-                ratios = _ratio_grid_over_z(x, y, zs)
+                ratios = _asymptotic_ratio(x, y, zs)
                 index = int(np.argmax(ratios))
                 if ratios[index] > worst:
                     worst = float(ratios[index])
