@@ -10,29 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import families, functionals, optimize, verify
 
-__all__ = ["OutputConfig", "main"]
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    """Where and how to emit results: csv or json, path or stdout, digits."""
-
-    format: str = "csv"
-    path: Path | None = None
-    precision: int = 9
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format}")
-        if not 3 <= self.precision <= 17:
-            raise ValueError(f"precision must be in [3, 17], got {self.precision}")
+__all__ = ["main"]
 
 
 def _format_number(value, precision: int) -> str:
@@ -43,42 +27,35 @@ def _format_number(value, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _emit_rows(header: list[str], rows: list[list], out: OutputConfig) -> None:
-    if out.format == "csv":
+def _emit_rows(header: list[str], rows: list[list], args) -> None:
+    """Write rows as CSV or JSON per ``args.format``, ``args.precision`` and
+    ``args.out``."""
+    if args.format == "csv":
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_format_number(v, out.precision) for v in row))
+            lines.append(",".join(_format_number(v, args.precision) for v in row))
         text = "\n".join(lines) + "\n"
     else:
         payload = [
             {
                 key: (int(v) if isinstance(v, (int, np.integer))
-                      else float(_format_number(v, out.precision)))
+                      else float(_format_number(v, args.precision)))
                 for key, v in zip(header, row)
             }
             for row in rows
         ]
         text = json.dumps(payload, indent=2) + "\n"
-    _write(text, out)
+    _write(text, args)
 
 
-def _write(text: str, out: OutputConfig) -> None:
-    if out.path is None:
-        sys.stdout.write(text)
+def _write(text: str, args) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
-        out.path.write_text(text)
-
-
-def _output_config(args) -> OutputConfig:
-    return OutputConfig(
-        format=args.format,
-        path=Path(args.out) if args.out else None,
-        precision=args.precision,
-    )
+        sys.stdout.write(text)
 
 
 def cmd_table1(args) -> int:
-    out = _output_config(args)
     rows = []
     for m in args.m:
         record = optimize.maximize_W(m)
@@ -92,12 +69,11 @@ def cmd_table1(args) -> int:
                 functionals.gill_bound(m),
             ]
         )
-    _emit_rows(["m", "b", "d", "t_0", "W", "gill_bound"], rows, out)
+    _emit_rows(["m", "b", "d", "t_0", "W", "gill_bound"], rows, args)
     return 0
 
 
 def cmd_curves(args) -> int:
-    out = _output_config(args)
     m = args.m
     rows = []
     for b in np.linspace(families.b_min(m), optimize._curve_scan_end(m), args.samples):
@@ -113,29 +89,27 @@ def cmd_curves(args) -> int:
                 functionals.W(b, d_at, m),
             ]
         )
-    _emit_rows(["b", "d_min", "d_opt", "d_max", "t_0", "W_on_curve"], rows, out)
+    _emit_rows(["b", "d_min", "d_opt", "d_max", "t_0", "W_on_curve"], rows, args)
     return 0
 
 
 def cmd_asymptotic(args) -> int:
-    out = _output_config(args)
     rows = [
         [
             optimize.x_infinity(1e-10),
-            optimize.curve_supremum(1e-10),
+            optimize.curve_supremum(),
             functionals.asymptotic_restricted(0.548, 1.164),
         ]
     ]
-    _emit_rows(["x_infinity", "bound", "sample_value"], rows, out)
+    _emit_rows(["x_infinity", "bound", "sample_value"], rows, args)
     return 0
 
 
 def cmd_verify(args) -> int:
-    out = _output_config(args)
     names = list(verify.SUITE_NAMES) if args.suites == ["all"] else args.suites
-    reports = verify.run_suite(names, args.seed, m_range=args.m_range)
-    if out.format == "json":
-        _write(verify.reports_to_json(reports, out.precision) + "\n", out)
+    reports = verify.run_suite(names, args.seed)
+    if args.format == "json":
+        _write(verify.reports_to_json(reports, args.precision) + "\n", args)
     else:
         _emit_rows(
             ["name", "status", "worst_residual", "tolerance", "seed"],
@@ -143,7 +117,7 @@ def cmd_verify(args) -> int:
                 [r.name, r.status.value, r.worst_residual, r.tolerance, r.seed]
                 for r in reports
             ],
-            out,
+            args,
         )
     failing = [r.name for r in reports if r.status is verify.Status.FAIL]
     if failing:
@@ -162,24 +136,22 @@ def _parse_m_list(text: str) -> list[int]:
     return values
 
 
-def _parse_m_range(text: str) -> tuple[int, int]:
+def _parse_precision(text: str) -> int:
     try:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
+        value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad m range {text!r}; expected LO..HI"
-        ) from exc
-    if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad m range {text!r}")
-    return lo, hi
+        raise argparse.ArgumentTypeError(f"bad precision {text!r}") from exc
+    if not 3 <= value <= 17:
+        raise argparse.ArgumentTypeError(f"precision must be in [3, 17], got {value}")
+    return value
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
-        "--precision", type=int, default=9, help="significant digits, 3..17"
+        "--precision", type=_parse_precision, default=9,
+        help="significant digits, 3..17",
     )
 
 
@@ -219,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated suite names (default all): {', '.join(verify.SUITE_NAMES)}",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--m-range", type=_parse_m_range, default=(1, 200), dest="m_range",
-        help="direct-evaluation range for the bound134 suite, as LO..HI",
-    )
     _add_output_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser

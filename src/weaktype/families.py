@@ -29,13 +29,11 @@ __all__ = [
     "B_STAR_SP",
     "b_min",
     "b_max",
-    "b_tilde_max",
     "t_0",
     "d_min",
     "d_max",
     "b_star_min",
     "b_star_max",
-    "b_tilde_star_min",
     "t_0_star",
     "d_star_min",
     "d_star_max",
@@ -88,11 +86,6 @@ def b_max(m: int) -> float:
     return 2.0 ** (2.0 / m)
 
 
-def b_tilde_max(m: int) -> float:
-    """Right end of the forward curve scan: b_max for m >= 2, B_SP for m = 1."""
-    return B_SP if m == 1 else b_max(m)
-
-
 def t_0(b: float, m: int) -> float:
     """Sign change of the second restricted piece; equals d_min(b, m)."""
     return ((2.0 + m) / (2.0 * (1.0 + m))) ** (2.0 / m) * (
@@ -116,11 +109,6 @@ def b_star_min(m: int) -> float:
 
 def b_star_max(m: int) -> float:
     return ((2.0 + 2.0 * m) / (4.0 + 3.0 * m)) ** (2.0 / (2.0 + m))
-
-
-def b_tilde_star_min(m: int) -> float:
-    """Left end of the adjoint curve scan: b_star_min for m >= 2, B_STAR_SP for m = 1."""
-    return B_STAR_SP if m == 1 else b_star_min(m)
 
 
 def t_0_star(b_star: float, m: int) -> float:

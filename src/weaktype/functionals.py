@@ -13,7 +13,6 @@ evaluates at one point and ``optimize.push_check`` slab by slab.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .piecewise import PiecewisePowerFunction, PowerPiece, l1_norm
 
 __all__ = [
     "DenominatorError",
-    "RatioSource",
     "RatioReport",
     "AsymptoticPoint",
     "W",
@@ -53,27 +51,19 @@ class DenominatorError(ValueError):
     """The closed-form denominator is not positive: infeasible input."""
 
 
-class RatioSource(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    ORACLE = "oracle"
-
-
 @dataclass(frozen=True)
 class RatioReport:
-    """Superlevel measure, L1 norm, their ratio, and how they were obtained."""
+    """Superlevel measure, L1 norm and their ratio."""
 
     numerator: float
     denominator: float
     ratio: float
-    source: RatioSource
 
     @classmethod
-    def from_parts(
-        cls, numerator: float, denominator: float, source: RatioSource
-    ) -> "RatioReport":
+    def from_parts(cls, numerator: float, denominator: float) -> "RatioReport":
         if denominator <= 0.0:
             raise DenominatorError(f"denominator must be positive, got {denominator}")
-        return cls(numerator, denominator, numerator / denominator, source)
+        return cls(numerator, denominator, numerator / denominator)
 
 
 def w_denominator(b: float, d: float, m: int) -> float:
@@ -166,7 +156,7 @@ def general_ratio(params: GeneralFamilyParams) -> RatioReport:
         + 4.0 * (1.0 + m) / (m * (2.0 + m)) * b ** (1.0 + half)
         + l1_norm(PiecewisePowerFunction((second,)))
     )
-    return RatioReport.from_parts(numerator, denominator, RatioSource.CLOSED_FORM)
+    return RatioReport.from_parts(numerator, denominator)
 
 
 def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
@@ -191,15 +181,13 @@ def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
         + 4.0 * (1.0 + m) / (m * (2.0 + m)) * b_star ** (-half)
         + l1_norm(PiecewisePowerFunction((inner,)))
     )
-    return RatioReport.from_parts(numerator, denominator, RatioSource.CLOSED_FORM)
+    return RatioReport.from_parts(numerator, denominator)
 
 
-def oracle_ratio(
-    op: OperatorKind, f: PiecewisePowerFunction, threshold: float = 1.0
-) -> RatioReport:
-    """Independent ratio: structural superlevel measure over the exact L1 norm."""
-    measured = superlevel_measure(op, f, threshold)
-    return RatioReport.from_parts(measured.measure, l1_norm(f), RatioSource.ORACLE)
+def oracle_ratio(op: OperatorKind, f: PiecewisePowerFunction) -> RatioReport:
+    """Independent ratio: structural superlevel measure at level 1 over the
+    exact L1 norm."""
+    return RatioReport.from_parts(superlevel_measure(op, f).measure, l1_norm(f))
 
 
 # --- asymptotic (large-m) program ----------------------------------------------

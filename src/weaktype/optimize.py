@@ -12,7 +12,6 @@ analytically sign-certified bracket.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .functionals import LOG_2, LOG_32, W, W_star
 
 __all__ = [
     "ConvergenceError",
-    "Method",
     "OptimumRecord",
     "DualityRecord",
     "UniformBoundConstants",
@@ -54,11 +52,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 THETA = 2.0 * math.exp(-0.5) - 1.0
 
 
-class Method(enum.Enum):
-    GRID_THEN_NELDER_MEAD = "grid_then_nelder_mead"
-    CURVE_SCAN = "curve_scan"
-
-
 @dataclass(frozen=True)
 class OptimumRecord:
     m: int
@@ -66,7 +59,6 @@ class OptimumRecord:
     d: float
     value: float
     evaluations: int
-    method: Method
 
 
 @dataclass(frozen=True)
@@ -81,15 +73,17 @@ class DualityRecord:
     w_residual: float
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12,
-                max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; handles endpoint maxima."""
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi]; handles endpoint maxima.
+
+    Stops once the bracket is narrower than 1e-12 relative, or after 200 steps.
+    """
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
+    for _ in range(200):
+        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
@@ -102,6 +96,14 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12,
     candidates = [(fn(lo), lo), (fn(hi), hi), (f1, x1), (f2, x2)]
     best_value, best_x = max(candidates, key=lambda item: item[0])
     return best_x, best_value
+
+
+def _scan_then_refine(fn, lo: float, hi: float, samples: int) -> tuple[float, float]:
+    """Scan fn at ``samples`` evenly spaced points of [lo, hi], then refine the
+    first maximum by golden section between its two neighbours."""
+    grid = np.linspace(lo, hi, samples)
+    index = int(np.argmax([fn(x) for x in grid]))
+    return _golden_max(fn, grid[max(0, index - 1)], grid[min(samples - 1, index + 1)])
 
 
 class ConvergenceError(RuntimeError):
@@ -130,9 +132,7 @@ def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
         return np.where(feasible, (d - 1.0) / denominator, -math.inf)
 
 
-def maximize_W(
-    m: int, grid_resolution: int = 64, refine_tol: float = 1e-10
-) -> OptimumRecord:
+def maximize_W(m: int, grid_resolution: int = 64) -> OptimumRecord:
     """Grid over the feasible region mapped to the unit square, then Nelder-Mead.
 
     The grid is evaluated as one array; ties on it break toward smaller b,
@@ -167,7 +167,7 @@ def maximize_W(
         lambda uv: -value(uv[0], uv[1]),
         x0=np.array([best[1], best[2]]),
         method="Nelder-Mead",
-        options={"xatol": refine_tol, "fatol": refine_tol, "maxiter": 2000},
+        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
     )
     if not result.success:
         raise ConvergenceError(
@@ -180,7 +180,7 @@ def maximize_W(
     if final < best[0]:
         b, d = bd_of(best[1], best[2])
         final = W(b, d, m)
-    return OptimumRecord(m, b, d, final, evaluations, Method.GRID_THEN_NELDER_MEAD)
+    return OptimumRecord(m, b, d, final, evaluations)
 
 
 def d_opt(b: float, m: int) -> float:
@@ -200,7 +200,7 @@ def d_opt(b: float, m: int) -> float:
 def _curve_scan_end(m: int) -> float:
     """Right end of the forward curve scan; for m >= 2 the curve leaves the
     feasible closure at b_max itself, so the scan stops just inside it."""
-    return families.b_tilde_max(m) if m == 1 else families.b_max(m) * (1.0 - 1e-9)
+    return families.B_SP if m == 1 else families.b_max(m) * (1.0 - 1e-9)
 
 
 def d_star_opt(b_star: float, m: int) -> float:
@@ -239,11 +239,9 @@ def duality_map(b: float, m: int) -> DualityRecord:
     )
 
 
-def maximize_on_curve(
-    m: int, samples: int = 400, refine_tol: float = 1e-12
-) -> OptimumRecord:
-    """Scan b -> W(b, d_opt(b)) up to the curve scan end, then golden-section."""
-    lo, hi = families.b_min(m), _curve_scan_end(m)
+def maximize_on_curve(m: int) -> OptimumRecord:
+    """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end, then
+    golden-section."""
     evaluations = 0
 
     def value(b: float) -> float:
@@ -251,20 +249,19 @@ def maximize_on_curve(
         evaluations += 1
         return W(b, d_opt(b, m), m)
 
-    grid = np.linspace(lo, hi, samples)
-    values = [value(b) for b in grid]
-    index = int(np.argmax(values))
-    bracket_lo = grid[max(0, index - 1)]
-    bracket_hi = grid[min(samples - 1, index + 1)]
-    b_best, best = _golden_max(value, bracket_lo, bracket_hi, refine_tol)
-    return OptimumRecord(m, b_best, d_opt(b_best, m), best, evaluations, Method.CURVE_SCAN)
+    b_best, best = _scan_then_refine(
+        value, families.b_min(m), _curve_scan_end(m), 400
+    )
+    return OptimumRecord(m, b_best, d_opt(b_best, m), best, evaluations)
 
 
 def x_infinity(tol: float) -> float:
     """Root of e^x (1 - 2x) - (2 - e^x) ln(2(2 - e^x)) on [ln(3/2), ln 2).
 
-    Bisection on an analytically sign-certified bracket; the integrand is
-    verified strictly decreasing on the bracket by sampled differences.
+    Bisection on an analytically sign-certified bracket [ln(3/2), ln 2 - 1e-12];
+    h, the function above, is verified strictly decreasing on the bracket by
+    sampled differences.  Bisection stops at bracket width min(tol, 1e-13),
+    floored at 1e-15, so every tol >= 1e-13 gives the same root.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -283,9 +280,9 @@ def x_infinity(tol: float) -> float:
     return bisect(h, lo, hi, xtol=max(min(tol, 1e-13), 1e-15))
 
 
-def curve_supremum(tol: float = 1e-12) -> float:
+def curve_supremum() -> float:
     """The asymptotic curve supremum 1 / (e^{x_inf} - 1)."""
-    return 1.0 / (math.exp(x_infinity(tol)) - 1.0)
+    return 1.0 / (math.exp(x_infinity(1e-13)) - 1.0)
 
 
 # --- uniform lower bound machinery ---------------------------------------------
@@ -339,7 +336,6 @@ class UniformBoundRecord:
     w_value: float
     u0: float
     rational_bound: float | None
-    meets_134: bool
 
 
 def bound_134(m_values) -> list[UniformBoundRecord]:
@@ -361,11 +357,7 @@ def bound_134(m_values) -> list[UniformBoundRecord]:
         else:
             w_value = W(math.exp(1.0 / m), math.exp(3.0 / m), m)
         rational = rational_lower_bound(m) if m >= 25 else None
-        out.append(
-            UniformBoundRecord(
-                m, feasible, w_value, u0(m), rational, w_value >= 1.34
-            )
-        )
+        out.append(UniformBoundRecord(m, feasible, w_value, u0(m), rational))
     return out
 
 
@@ -375,8 +367,9 @@ def bound_134(m_values) -> list[UniformBoundRecord]:
 class PushCheckRecord:
     """Grid search for asymptotic ratios beating the curve supremum.
 
-    The grid is capped at x <= x_cap, y <= y_cap; beyond the caps the ratio is
-    checked to decrease along a sparse set of rays (ray_check_ok).
+    The grid is capped at x <= 3 and y <= 5 (recorded as x_cap and y_cap);
+    beyond the caps the ratio is checked to decrease along a sparse set of
+    rays (ray_check_ok).
     """
 
     resolution: int
@@ -388,8 +381,8 @@ class PushCheckRecord:
     y_cap: float
 
 
-def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> PushCheckRecord:
-    """Max over the capped grid of (general asymptotic ratio - curve supremum).
+def push_check(grid_resolution: int) -> PushCheckRecord:
+    """Max over the grid x <= 3, y <= 5 of (general asymptotic ratio - curve supremum).
 
     A nonpositive result (up to grid tolerance) means no admissible (x, y, z)
     beats the curve supremum.  Each x is one (y, z) slab; the first maximum
@@ -399,6 +392,7 @@ def push_check(grid_resolution: int, x_cap: float = 3.0, y_cap: float = 5.0) -> 
         raise ValueError(f"resolution must be at least 16, got {grid_resolution}")
     supremum = curve_supremum()
     ratio = functionals._asymptotic_ratio
+    x_cap, y_cap = 3.0, 5.0
     worst = -math.inf
     worst_point = (0.0, 0.0, 0.0)
     xs = np.linspace(1e-6, x_cap, grid_resolution)
@@ -478,22 +472,17 @@ _AUX_SPECS = (
 )
 
 
-def aux_suprema(scan_samples: int = 2000) -> list[AuxSupremumRecord]:
+def aux_suprema() -> list[AuxSupremumRecord]:
     """Maximize the five auxiliary one-variable ratios over their intervals.
 
-    Each is scanned on a dense grid and refined by golden section; the
+    Each is scanned at 2000 points and refined by golden section; the
     reported suprema respect the declared bounds 1.1, 1.18, 1.3, 1.1, 1.1, with
     the diagonal supremum equal to ln(3/2) / (3/4 - ln(3/2)) attained at the
     right endpoint.
     """
     out = []
     for name, fn, lo, hi, bound in _AUX_SPECS:
-        grid = np.linspace(lo, hi, scan_samples)
-        values = [fn(x) for x in grid]
-        index = int(np.argmax(values))
-        argmax, supremum = _golden_max(
-            fn, grid[max(0, index - 1)], grid[min(scan_samples - 1, index + 1)]
-        )
+        argmax, supremum = _scan_then_refine(fn, lo, hi, 2000)
         out.append(AuxSupremumRecord(name, lo, hi, argmax, supremum, bound))
     return out
 

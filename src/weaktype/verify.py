@@ -275,12 +275,6 @@ def _suite_boundaries(seed: int) -> CheckReport:
         bs = np.sort(lo + rng.uniform(0.01, 0.99, size=50) * (hi - lo))
         d_mins = [families.d_min(float(b), m) for b in bs]
         d_maxs = [families.d_max(float(b), m) for b in bs]
-        t0s = [families.t_0(float(b), m) for b in bs]
-        collector.metric(
-            f"t_0 == d_min m={m}",
-            max(abs(x - y) for x, y in zip(d_mins, t0s)),
-            1e-15,
-        )
         collector.bound(
             f"d_min < d_max m={m}",
             all(x < y for x, y in zip(d_mins, d_maxs)),
@@ -299,12 +293,6 @@ def _suite_boundaries(seed: int) -> CheckReport:
         bss = np.sort(s_lo + rng.uniform(0.01, 0.99, size=50) * (s_hi - s_lo))
         ds_mins = [families.d_star_min(float(b), m) for b in bss]
         ds_maxs = [families.d_star_max(float(b), m) for b in bss]
-        t0ss = [families.t_0_star(float(b), m) for b in bss]
-        collector.metric(
-            f"t_0* == d*_max m={m}",
-            max(abs(x - y) for x, y in zip(ds_maxs, t0ss)),
-            1e-15,
-        )
         collector.bound(
             f"d*_min, d*_max increasing m={m}",
             all(x < y for x, y in zip(ds_mins, ds_mins[1:]))
@@ -469,7 +457,7 @@ def _suite_asymptotic(seed: int) -> CheckReport:
     collector.metric("x_infinity", x_inf - 0.54807758, 1e-7)
     sample = functionals.asymptotic_restricted(0.548, 1.164)
     collector.bound("sample value >= 1.37", sample >= 1.37, 1.37 - sample)
-    supremum = optimize.curve_supremum(1e-10)
+    supremum = optimize.curve_supremum()
     collector.bound("curve supremum >= 1.3699", supremum >= 1.3699)
     x, y = 0.548, 1.164
     m = 10 ** 4
@@ -482,9 +470,9 @@ def _suite_asymptotic(seed: int) -> CheckReport:
     return collector.report("asymptotic", seed)
 
 
-def _suite_bound134(seed: int, m_range: tuple[int, int] = (1, 200)) -> CheckReport:
+def _suite_bound134(seed: int) -> CheckReport:
     collector = _Collector()
-    records = optimize.bound_134(range(m_range[0], m_range[1] + 1))
+    records = optimize.bound_134(range(1, 201))
     for record in records:
         if record.m >= 4:
             collector.bound(f"pair feasible m={record.m}", record.pair_feasible)
@@ -576,20 +564,12 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(
-    names: list[str], seed: int, m_range: tuple[int, int] = (1, 200)
-) -> list[CheckReport]:
+def run_suite(names: list[str], seed: int) -> list[CheckReport]:
     """Run the named suites deterministically under the seed, in given order."""
     unknown = [name for name in names if name not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite names: {unknown}; choose from {SUITE_NAMES}")
-    reports = []
-    for name in names:
-        if name == "bound134":
-            reports.append(_suite_bound134(seed, m_range))
-        else:
-            reports.append(_SUITES[name](seed))
-    return reports
+    return [_SUITES[name](seed) for name in names]
 
 
 def reports_to_json(reports: list[CheckReport], precision: int = 9) -> str:

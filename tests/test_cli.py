@@ -9,7 +9,7 @@ import pytest
 
 import weaktype
 from weaktype import optimize, verify
-from weaktype.cli import OutputConfig, main
+from weaktype.cli import main
 from weaktype.verify import CheckReport, Status
 
 
@@ -26,16 +26,24 @@ def parse_csv(text):
     return header, rows
 
 
-class TestOutputConfig:
-    def test_precision_range(self):
-        with pytest.raises(ValueError):
-            OutputConfig(precision=2)
-        with pytest.raises(ValueError):
-            OutputConfig(precision=18)
+def usage_error(capsys, args):
+    """stderr of a command that must exit 2 before writing to stdout."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
-    def test_format_choices(self):
-        with pytest.raises(ValueError):
-            OutputConfig(format="yaml")
+
+class TestOutputConfig:
+    def test_precision_range(self, capsys):
+        for precision in ("2", "18"):
+            err = usage_error(capsys, ["asymptotic", "--precision", precision])
+            assert f"precision must be in [3, 17], got {precision}" in err
+
+    def test_format_choices(self, capsys):
+        usage_error(capsys, ["asymptotic", "--format", "yaml"])
 
 
 class TestTable1:
@@ -159,19 +167,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1
         assert "eigen" in captured.err
-
-    def test_m_range_flag_parsed(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--suites", "eigen", "--m-range", "bad"])
-        assert excinfo.value.code == 2
-
-    def test_bound134_with_m_range(self, capsys):
-        code, out = run_cli(
-            capsys, ["verify", "--suites", "bound134", "--m-range", "1..60"]
-        )
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert rows[0][0] == "bound134" and rows[0][1] == "Pass"
 
     def test_csv_matches_pinned_output(self, capsys):
         code, out = run_cli(

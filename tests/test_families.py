@@ -16,8 +16,6 @@ from weaktype.families import (
     b_min,
     b_star_max,
     b_star_min,
-    b_tilde_max,
-    b_tilde_star_min,
     build_general,
     build_general_star,
     build_spec,
@@ -166,7 +164,6 @@ class TestBoundaries:
         assert b_min(1) == pytest.approx(1.5625, abs=1e-14)
         assert b_max(1) == pytest.approx(4.0, abs=1e-14)
         assert B_SP == pytest.approx(7.0 ** (2.0 / 3.0), abs=1e-14)
-        assert b_tilde_max(1) == B_SP
 
     def test_m1_adjoint_interval(self):
         assert b_star_min(1) == pytest.approx(2.0 ** (-2.0 / 3.0), abs=1e-14)
@@ -177,11 +174,6 @@ class TestBoundaries:
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
     def test_d_min_at_b_min_closes_the_corner(self, m):
         assert d_min(b_min(m), m) == pytest.approx(b_min(m), rel=1e-12)
-
-    @pytest.mark.parametrize("m", [2, 5])
-    def test_tilde_bounds_collapse_for_m_ge_2(self, m):
-        assert b_tilde_max(m) == b_max(m)
-        assert b_tilde_star_min(m) == b_star_min(m)
 
     def test_t_0_equals_d_min_and_adjoint(self):
         rng = np.random.default_rng(3)

@@ -22,7 +22,6 @@ from weaktype.families import (
 from weaktype.functionals import DenominatorError, W
 from weaktype.optimize import (
     ConvergenceError,
-    Method,
     UNIFORM_BOUND_CONSTANTS,
     _curve_scan_end,
     _grid_values,
@@ -103,9 +102,7 @@ def _reference_maximize_W(m, grid_resolution, loop_grid=_cached_loop_grid):
     if final < best:
         b, d = _cell(m, ticks[i], ticks[j])
         final = W(b, d, m)
-    return optimize.OptimumRecord(
-        m, b, d, final, evaluations, Method.GRID_THEN_NELDER_MEAD
-    )
+    return optimize.OptimumRecord(m, b, d, final, evaluations)
 
 
 _GRID_CASES = [
@@ -121,7 +118,6 @@ class TestMaximizeW:
         assert record.value >= 1.383
         assert record.b == pytest.approx(2.157, abs=1e-2)
         assert record.d == pytest.approx(6.623, abs=1e-2)
-        assert record.method is Method.GRID_THEN_NELDER_MEAD
 
     def test_m3_value(self):
         assert maximize_W(3).value >= 1.373
@@ -295,7 +291,6 @@ class TestMaximizeOnCurve:
         record = maximize_on_curve(1)
         assert record.value == pytest.approx(1.383, abs=1e-3)
         assert record.b == pytest.approx(2.157, abs=1e-2)
-        assert record.method is Method.CURVE_SCAN
 
     def test_m4_reference(self):
         assert maximize_on_curve(4).value == pytest.approx(1.371, abs=1e-3)
@@ -345,7 +340,7 @@ class TestUniformBound:
         for record in records:
             if record.m >= 4:
                 assert record.pair_feasible
-            assert record.meets_134
+            assert record.w_value >= 1.34
             if record.m >= 25:
                 assert record.rational_bound is not None
                 assert record.rational_bound >= 1.34

@@ -1,9 +1,25 @@
+import hashlib
 import json
 
 import pytest
 
 from weaktype import verify
 from weaktype.verify import SUITE_NAMES, Status, reports_to_json, run_suite
+
+
+# SHA-256 of reports_to_json over every suite; seed 0 is pinned byte for byte
+# in verify_seed0.json.  Refactors must leave these unchanged.
+_SEED_DIGESTS = {
+    1: "0a975de9a87f8b7372b5a8481a207e0ed602e55e3fea671d531af8072db99d7d",
+    2: "91f026647cd255a19bd141dab406e8fc66ddf916b1c4a24b7b7dee416ec3f143",
+    3: "e1327f1f3d3b9621b51ccbf9aaa69bed680322318446d46ccd77e7f9eb13e604",
+    4: "45bdc5a1f5df0233570a8068eaa11fac1aff43f133e797fa1d7db5bba25f2ed6",
+    5: "fd155fe4d5e11be0c2e368e006e25d78cea83333ce2afedcbba77017d19ac0f6",
+    6: "c73f9b3a04a7813382de8b27da1d18e2a4d616427169a2dc4315c3735414e49d",
+    7: "468fdda4fb738d89af8929ca4c79ece6d478612e0aaa7d53fc5e06479280ed89",
+    8: "fd38dbcc38017452db8b12cac48ef4fadbb28cdaa85776d5bcc1b7fc2fcfc1f6",
+    9: "d160c0f99834c1325e30be8a8cb3b3e3510be501611c493a5617c7414ca74255",
+}
 
 
 class TestRunSuite:
@@ -55,6 +71,11 @@ class TestDeterminism:
         first = run_suite(["plateau"], 1)[0]
         second = run_suite(["plateau"], 2)[0]
         assert first.details != second.details
+
+    @pytest.mark.parametrize("seed", sorted(_SEED_DIGESTS))
+    def test_full_sweep_json_is_pinned(self, seed):
+        text = reports_to_json(run_suite(list(SUITE_NAMES), seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == _SEED_DIGESTS[seed]
 
 
 class TestJsonReport:
