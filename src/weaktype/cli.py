@@ -136,21 +136,27 @@ def _parse_m_list(text: str) -> list[int]:
     return values
 
 
-def _parse_precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad precision {text!r}") from exc
-    if not 3 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"precision must be in [3, 17], got {value}")
-    return value
+def _int_in(name: str, lo: int, hi: int | None = None):
+    """An argparse type: an integer in [lo, hi], or at least lo without hi."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}") from exc
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
-        "--precision", type=_parse_precision, default=9,
+        "--precision", type=_int_in("precision", 3, 17), default=9,
         help="significant digits, 3..17",
     )
 
@@ -174,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table1)
 
     p_curves = sub.add_parser("curves", help="export the optimal-curve data for one m")
-    p_curves.add_argument("--m", type=int, default=1)
-    p_curves.add_argument("--samples", type=int, default=100)
+    p_curves.add_argument("--m", type=_int_in("m", 1), default=1)
+    p_curves.add_argument("--samples", type=_int_in("samples", 2, 100_000), default=100)
     _add_output_flags(p_curves)
     p_curves.set_defaults(func=cmd_curves)
 
@@ -199,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "curves":
-        if args.m < 1:
-            parser.error(f"m must be >= 1, got {args.m}")
-        if args.samples < 2:
-            parser.error(f"samples must be >= 2, got {args.samples}")
     try:
         return args.func(args)
     except OSError as exc:

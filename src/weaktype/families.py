@@ -4,12 +4,17 @@ The general family stitches (2+m)/m + B*t**(m/2) on (a, b] against
 -(2+m)/m + D*t**(m/2) on (c, d], with B and D chosen so the forward operator
 maps the function to +1 on (a, b) and -1 on (c, d).  The restricted family
 fixes a = 1 and c = b and constrains (b, d) to the open region where the
-second piece changes sign and stays below 2 at d.  The adjoint families
-mirror this construction with the kernel exponent -1 - m/2: the general one
-stitches -m/(2+m) + D*t**(-1-m/2) on (d*, c*] against
-m/(2+m) + B*t**(-1-m/2) on (b*, a*], mapped to -1 and +1 by the adjoint
-operator, and the restricted one fixes a* = 1 and c* = b* on the unit-scale
-side d_* < b_* < 1.
+second piece changes sign and stays below 2 at d.
+
+The adjoint families are the forward ones with the kernel exponent k = m/2
+replaced by k = -1 - m/2 and the intervals mirrored through 1: the general
+one stitches m/(2+m) + B*t**(-1-m/2) on (b*, a*] against
+-m/(2+m) + D*t**(-1-m/2) on (d*, c*], 0 < d* < c* <= b* < a*, mapped to +1
+and -1 by the adjoint operator, and the restricted one fixes a* = 1 and
+c* = b*.  Every constant follows from the substitution: (2+m)/m is
+(1+k)/k, 2(1+m)/m is (1+2k)/k and b**(-m/2) is b**(-k).  So each quantity
+is written once, as a private function of k; the forward name evaluates it
+at k = m/2 and each *_star name at k = -1 - m/2.
 """
 
 from __future__ import annotations
@@ -76,21 +81,80 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be an integer >= 1, got {m}")
 
 
+# --- shared closed forms in the kernel exponent k -------------------------------
+#
+# Every constant is one quotient of exactly representable terms, (1 + k)/k
+# rather than 1 + 1/k, so it is correctly rounded at both exponents.
+
+def _orientation(k: float) -> float:
+    """+1 for the forward exponent (k > -1/2), -1 for the adjoint one, whose
+    intervals are the forward ones mirrored through 1."""
+    return 1.0 if k > -0.5 else -1.0
+
+
+def _b_near(k: float) -> float:
+    """End of the restricted b-range nearer to 1 (b_min, b*_max)."""
+    return ((1.0 + 3.0 * k) / (1.0 + 2.0 * k)) ** (1.0 / k)
+
+
+def _b_far(k: float) -> float:
+    """End of the restricted b-range farther from 1 (b_max, b*_min)."""
+    return 2.0 ** (1.0 / k)
+
+
+def _t_0(b, k: float):
+    """Sign change of the second restricted piece (d_min, d*_max)."""
+    return ((1.0 + k) / (1.0 + 2.0 * k)) ** (1.0 / k) * (
+        2.0 * b ** (-k) - 1.0
+    ) ** (-1.0 / k)
+
+
+def _d_far(b: float, k: float) -> float:
+    """End of the restricted d-range farther from 1 (d_max, d*_min)."""
+    return ((1.0 + 3.0 * k) / ((1.0 + 2.0 * k) * (2.0 * b ** (-k) - 1.0))) ** (
+        1.0 / k
+    )
+
+
+def _general_B(a: float, k: float) -> float:
+    return -(1.0 + 2.0 * k) / (k * a ** k)
+
+
+def _general_D(a: float, b: float, c: float, k: float) -> float:
+    lead = (1.0 + 2.0 * k) / (k * c ** k)
+    return lead + lead * (b / c) ** (1.0 + k) + _general_B(a, k) * (b / c) ** (
+        1.0 + 2.0 * k
+    )
+
+
+def _spec_D(b: float, k: float) -> float:
+    return (1.0 + 2.0 * k) / k * (2.0 * b ** (-k) - 1.0)
+
+
+def _build(k: float, plus, minus, coeff_plus: float, coeff_minus: float):
+    """(1+k)/k + coeff_plus t^k on the interval ``plus`` against
+    -(1+k)/k + coeff_minus t^k on ``minus``, pieces in increasing t."""
+    const = (1.0 + k) / k
+    pieces = (
+        PowerPiece(*sorted(plus), const, coeff_plus, k),
+        PowerPiece(*sorted(minus), -const, coeff_minus, k),
+    )
+    return PiecewisePowerFunction(tuple(sorted(pieces, key=lambda pc: pc.t_lo)))
+
+
 # --- boundary functions ------------------------------------------------------
 
 def b_min(m: int) -> float:
-    return ((2.0 + 3.0 * m) / (2.0 + 2.0 * m)) ** (2.0 / m)
+    return _b_near(m / 2.0)
 
 
 def b_max(m: int) -> float:
-    return 2.0 ** (2.0 / m)
+    return _b_far(m / 2.0)
 
 
 def t_0(b: float, m: int) -> float:
     """Sign change of the second restricted piece; equals d_min(b, m)."""
-    return ((2.0 + m) / (2.0 * (1.0 + m))) ** (2.0 / m) * (
-        2.0 * b ** (-m / 2.0) - 1.0
-    ) ** (-2.0 / m)
+    return _t_0(b, m / 2.0)
 
 
 def d_min(b: float, m: int) -> float:
@@ -98,24 +162,20 @@ def d_min(b: float, m: int) -> float:
 
 
 def d_max(b: float, m: int) -> float:
-    return ((2.0 + 3.0 * m) / (2.0 * (1.0 + m) * (2.0 * b ** (-m / 2.0) - 1.0))) ** (
-        2.0 / m
-    )
+    return _d_far(b, m / 2.0)
 
 
 def b_star_min(m: int) -> float:
-    return 2.0 ** (-2.0 / (2.0 + m))
+    return _b_far(-1.0 - m / 2.0)
 
 
 def b_star_max(m: int) -> float:
-    return ((2.0 + 2.0 * m) / (4.0 + 3.0 * m)) ** (2.0 / (2.0 + m))
+    return _b_near(-1.0 - m / 2.0)
 
 
 def t_0_star(b_star: float, m: int) -> float:
     """Sign change of the inner adjoint piece; equals d_star_max(b_star, m)."""
-    return (2.0 * (1.0 + m) / m) ** (2.0 / (2.0 + m)) * (
-        2.0 * b_star ** (1.0 + m / 2.0) - 1.0
-    ) ** (2.0 / (2.0 + m))
+    return _t_0(b_star, -1.0 - m / 2.0)
 
 
 def d_star_max(b_star: float, m: int) -> float:
@@ -123,46 +183,30 @@ def d_star_max(b_star: float, m: int) -> float:
 
 
 def d_star_min(b_star: float, m: int) -> float:
-    return (
-        (4.0 + 3.0 * m) / (2.0 * (1.0 + m) * (2.0 * b_star ** (1.0 + m / 2.0) - 1.0))
-    ) ** (-2.0 / (2.0 + m))
+    return _d_far(b_star, -1.0 - m / 2.0)
 
 
 # --- coefficients ------------------------------------------------------------
 
 def general_B(a: float, m: int) -> float:
-    return -2.0 * (1.0 + m) / (m * a ** (m / 2.0))
+    return _general_B(a, m / 2.0)
 
 
 def general_D(a: float, b: float, c: float, m: int) -> float:
-    lead = 2.0 * (1.0 + m) / (m * c ** (m / 2.0))
-    return (
-        lead
-        + lead * (b / c) ** (1.0 + m / 2.0)
-        + general_B(a, m) * (b / c) ** (1.0 + m)
-    )
-
-
-def _general_B_star(a_star: float, m: int) -> float:
-    return -2.0 * (1.0 + m) * a_star ** (1.0 + m / 2.0) / (2.0 + m)
+    return _general_D(a, b, c, m / 2.0)
 
 
 def general_D_star(a_star: float, b_star: float, c_star: float, m: int) -> float:
     """Coefficient of the inner adjoint piece: the adjoint twin of general_D."""
-    lead = 2.0 * (1.0 + m) * c_star ** (1.0 + m / 2.0) / (2.0 + m)
-    ratio = c_star / b_star
-    return (
-        lead * (1.0 + ratio ** (m / 2.0))
-        + _general_B_star(a_star, m) * ratio ** (1.0 + m)
-    )
+    return _general_D(a_star, b_star, c_star, -1.0 - m / 2.0)
 
 
 def spec_D(b: float, m: int) -> float:
-    return 2.0 * (1.0 + m) / m * (2.0 * b ** (-m / 2.0) - 1.0)
+    return _spec_D(b, m / 2.0)
 
 
 def star_spec_D(b_star: float, m: int) -> float:
-    return 2.0 * (1.0 + m) / (2.0 + m) * (2.0 * b_star ** (1.0 + m / 2.0) - 1.0)
+    return _spec_D(b_star, -1.0 - m / 2.0)
 
 
 # --- parameter types ---------------------------------------------------------
@@ -365,48 +409,27 @@ def validate(params) -> list[ConstraintDiagnostic]:
 def build_general(params: GeneralFamilyParams) -> PiecewisePowerFunction:
     """The general two-piece function with its coupling coefficients."""
     m, a, b, c, d = params.m, params.a, params.b, params.c, params.d
-    half = m / 2.0
-    return PiecewisePowerFunction(
-        (
-            PowerPiece(a, b, (2.0 + m) / m, general_B(a, m), half),
-            PowerPiece(c, d, -(2.0 + m) / m, general_D(a, b, c, m), half),
-        )
-    )
+    k = m / 2.0
+    return _build(k, (a, b), (c, d), _general_B(a, k), _general_D(a, b, c, k))
 
 
 def build_general_star(params: GeneralStarFamilyParams) -> PiecewisePowerFunction:
     """The general adjoint two-piece function: -1 on (d*, c*), +1 on (b*, a*)."""
     m, a_s, b_s = params.m, params.a_star, params.b_star
     c_s, d_s = params.c_star, params.d_star
-    neg = -1.0 - m / 2.0
-    coeff_d = general_D_star(a_s, b_s, c_s, m)
-    return PiecewisePowerFunction(
-        (
-            PowerPiece(d_s, c_s, -m / (2.0 + m), coeff_d, neg),
-            PowerPiece(b_s, a_s, m / (2.0 + m), _general_B_star(a_s, m), neg),
-        )
-    )
+    k = -1.0 - m / 2.0
+    return _build(k, (a_s, b_s), (c_s, d_s), _general_B(a_s, k),
+                  _general_D(a_s, b_s, c_s, k))
 
 
 def build_spec(params: FSpecParams) -> PiecewisePowerFunction:
     """The restricted function; its unique sign change on (b, d) is t_0(b, m)."""
-    m, b, d = params.m, params.b, params.d
-    half = m / 2.0
-    return PiecewisePowerFunction(
-        (
-            PowerPiece(1.0, b, (2.0 + m) / m, -2.0 * (1.0 + m) / m, half),
-            PowerPiece(b, d, -(2.0 + m) / m, spec_D(b, m), half),
-        )
-    )
+    k, b = params.m / 2.0, params.b
+    return _build(k, (1.0, b), (b, params.d), _general_B(1.0, k), _spec_D(b, k))
 
 
 def build_star_spec(params: FStarSpecParams) -> PiecewisePowerFunction:
     """The adjoint restricted function; sign change on (d*, b*) at t_0*(b*, m)."""
-    m, bs, ds = params.m, params.b_star, params.d_star
-    neg = -1.0 - m / 2.0
-    return PiecewisePowerFunction(
-        (
-            PowerPiece(ds, bs, -m / (2.0 + m), star_spec_D(bs, m), neg),
-            PowerPiece(bs, 1.0, m / (2.0 + m), -2.0 * (1.0 + m) / (2.0 + m), neg),
-        )
-    )
+    k, bs = -1.0 - params.m / 2.0, params.b_star
+    return _build(k, (1.0, bs), (bs, params.d_star), _general_B(1.0, k),
+                  _spec_D(bs, k))

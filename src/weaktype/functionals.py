@@ -9,6 +9,13 @@ corrections b_hat and d_hat, and take the L1 norm of the second piece from
 here too: ``asymptotic_restricted``, and the general ratio
 ``_asymptotic_ratio`` over arrays of y and z, which ``asymptotic_general``
 evaluates at one point and ``optimize.push_check`` slab by slab.
+
+As in ``families``, the adjoint families are the forward ones at kernel
+exponent k = -1 - m/2 instead of k = m/2, with the intervals mirrored
+through 1.  So each ratio and denominator is written once as a private
+function of k, and each *_star name evaluates it at k = -1 - m/2.  The
+mirroring flips the sign of the design length (1 - d* for d - 1) and of the
+terms of the L1 norm that come from the fixed piece on the far side of 1.
 """
 
 from __future__ import annotations
@@ -66,17 +73,35 @@ class RatioReport:
         return cls(numerator, denominator, numerator / denominator)
 
 
+def _w_denominator(b, d, k: float):
+    """L1 norm of the restricted function at kernel exponent k.
+
+    The bracket is the forward norm written in k; the adjoint norm is its
+    negative, since the adjoint intervals are mirrored through 1.
+    """
+    return families._orientation(k) * (
+        k / (1.0 + k)
+        - (1.0 + k) / k * d
+        - 2.0 * k / (1.0 + k) * b
+        + (1.0 + 2.0 * k) / (k * (1.0 + k))
+        * (2.0 * b ** (-k) - 1.0)
+        * d ** (1.0 + k)
+        + 2.0 * families._t_0(b, k)
+    )
+
+
+def _W(b: float, d: float, k: float, denominator: float) -> float:
+    """|d - 1| over the restricted L1 norm ``denominator`` at kernel exponent k."""
+    if denominator <= 0.0:
+        raise DenominatorError(
+            f"nonpositive denominator {denominator} at (b={b}, d={d}, k={k})"
+        )
+    return families._orientation(k) * (d - 1.0) / denominator
+
+
 def w_denominator(b: float, d: float, m: int) -> float:
     """L1 norm of the restricted function with parameters (b, d)."""
-    return (
-        m / (2.0 + m)
-        - (2.0 + m) / m * d
-        - 2.0 * m / (2.0 + m) * b
-        + 4.0 * (1.0 + m) / (m * (2.0 + m))
-        * (2.0 * b ** (-m / 2.0) - 1.0)
-        * d ** (1.0 + m / 2.0)
-        + 2.0 * families.t_0(b, m)
-    )
+    return _w_denominator(b, d, m / 2.0)
 
 
 def W(b: float, d: float, m: int) -> float:
@@ -85,36 +110,18 @@ def W(b: float, d: float, m: int) -> float:
     Accepts any (b, d) in the closure of the feasible region; rejects only a
     nonpositive denominator.
     """
-    denominator = w_denominator(b, d, m)
-    if denominator <= 0.0:
-        raise DenominatorError(
-            f"nonpositive denominator {denominator} at (b={b}, d={d}, m={m})"
-        )
-    return (d - 1.0) / denominator
+    return _W(b, d, m / 2.0, w_denominator(b, d, m))
 
 
 def w_star_denominator(b_star: float, d_star: float, m: int) -> float:
     """L1 norm of the adjoint restricted function with parameters (b*, d*)."""
-    return (
-        -(2.0 + m) / m
-        + m / (2.0 + m) * d_star
-        + 2.0 * (2.0 + m) / m * b_star
-        + 4.0 * (1.0 + m) / (m * (2.0 + m))
-        * (2.0 * b_star ** (1.0 + m / 2.0) - 1.0)
-        * d_star ** (-m / 2.0)
-        - 2.0 * families.t_0_star(b_star, m)
-    )
+    return _w_denominator(b_star, d_star, -1.0 - m / 2.0)
 
 
 def W_star(b_star: float, d_star: float, m: int) -> float:
     """Closed-form ratio (1 - d*) / L1 for the adjoint restricted family."""
-    denominator = w_star_denominator(b_star, d_star, m)
-    if denominator <= 0.0:
-        raise DenominatorError(
-            f"nonpositive denominator {denominator} at "
-            f"(b*={b_star}, d*={d_star}, m={m})"
-        )
-    return (1.0 - d_star) / denominator
+    k = -1.0 - m / 2.0
+    return _W(b_star, d_star, k, w_star_denominator(b_star, d_star, m))
 
 
 def gill_bound(m: float) -> float:
@@ -130,58 +137,47 @@ def gill_bound(m: float) -> float:
 
 # --- general-family ratios ----------------------------------------------------
 
-def general_ratio(params: GeneralFamilyParams) -> RatioReport:
-    """Exact ratio for the general family with a = 1.
+def _general_ratio(b: float, c: float, d: float, k: float) -> RatioReport:
+    """Exact ratio of the general family at unit scale, kernel exponent k.
 
     The numerator extends the design intervals by the mass-overshoot
-    endpoints b_hat (into the gap (b, c)) and d_hat (beyond d); the
+    endpoints b_hat (into the gap between b and c) and d_hat (beyond d); the
     denominator is the exact L1 norm.
     """
+    s = families._orientation(k)
+    further, nearer = (max, min) if s > 0.0 else (min, max)
+    const = (1.0 + k) / k
+    dd = families._general_D(1.0, b, c, k)
+
+    overshoot_b = -1.0 - const + (1.0 + 2.0 * k) / k * b ** k
+    b_hat = nearer(further(b, b * overshoot_b ** (1.0 / (1.0 + k))), c)
+    overshoot_d = abs(-1.0 - const + dd * d ** k)
+    d_hat = further(d, d * overshoot_d ** (1.0 / (1.0 + k)))
+
+    numerator = s * ((b_hat - 1.0) + (d_hat - c))
+    second = PowerPiece(*sorted((c, d)), -const, dd, k)
+    denominator = s * (
+        k / (1.0 + k)
+        - const * b
+        + (1.0 + 2.0 * k) / (k * (1.0 + k)) * b ** (1.0 + k)
+    ) + l1_norm(PiecewisePowerFunction((second,)))
+    return RatioReport.from_parts(numerator, denominator)
+
+
+def general_ratio(params: GeneralFamilyParams) -> RatioReport:
+    """Exact ratio for the general family with a = 1."""
     if params.a != 1.0:
         raise ValueError("general_ratio requires a = 1 (reduce by scaling)")
-    m, b, c, d = params.m, params.b, params.c, params.d
-    half = m / 2.0
-    dd = families.general_D(1.0, b, c, m)
-
-    overshoot_b = -1.0 - (2.0 + m) / m + 2.0 * (1.0 + m) / m * b ** half
-    b_hat = min(max(b, b * overshoot_b ** (2.0 / (2.0 + m))), c)
-    overshoot_d = abs(-1.0 - (2.0 + m) / m + dd * d ** half)
-    d_hat = max(d, d * overshoot_d ** (2.0 / (2.0 + m)))
-
-    numerator = (b_hat - 1.0) + (d_hat - c)
-    second = PowerPiece(c, d, -(2.0 + m) / m, dd, half)
-    denominator = (
-        m / (2.0 + m)
-        - (2.0 + m) / m * b
-        + 4.0 * (1.0 + m) / (m * (2.0 + m)) * b ** (1.0 + half)
-        + l1_norm(PiecewisePowerFunction((second,)))
-    )
-    return RatioReport.from_parts(numerator, denominator)
+    return _general_ratio(params.b, params.c, params.d, params.m / 2.0)
 
 
 def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
     """Exact ratio for the general adjoint family with a* = 1."""
     if params.a_star != 1.0:
         raise ValueError("general_ratio_star requires a* = 1 (reduce by scaling)")
-    m, b_star, c_star, d_star = params.m, params.b_star, params.c_star, params.d_star
-    half = m / 2.0
-    neg = -1.0 - half
-    dd = families.general_D_star(1.0, b_star, c_star, m)
-
-    overshoot_b = -1.0 - m / (2.0 + m) + 2.0 * (1.0 + m) / (2.0 + m) * b_star ** neg
-    b_hat = max(c_star, min(b_star * overshoot_b ** (-2.0 / m), b_star))
-    overshoot_d = abs(-1.0 - m / (2.0 + m) + dd * d_star ** neg)
-    d_hat = min(d_star, d_star * overshoot_d ** (-2.0 / m))
-
-    numerator = (1.0 - b_hat) + (c_star - d_hat)
-    inner = PowerPiece(d_star, c_star, -m / (2.0 + m), dd, neg)
-    denominator = (
-        -(2.0 + m) / m
-        + m / (2.0 + m) * b_star
-        + 4.0 * (1.0 + m) / (m * (2.0 + m)) * b_star ** (-half)
-        + l1_norm(PiecewisePowerFunction((inner,)))
+    return _general_ratio(
+        params.b_star, params.c_star, params.d_star, -1.0 - params.m / 2.0
     )
-    return RatioReport.from_parts(numerator, denominator)
 
 
 def oracle_ratio(op: OperatorKind, f: PiecewisePowerFunction) -> RatioReport:

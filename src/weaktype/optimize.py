@@ -183,18 +183,30 @@ def maximize_W(m: int, grid_resolution: int = 64) -> OptimumRecord:
     return OptimumRecord(m, b, d, final, evaluations)
 
 
+def _d_opt(b: float, k: float) -> float:
+    """The optimal-curve coordinate at b for kernel exponent k.
+
+    The range check is closed, with a 1e-12 relative allowance, at the end
+    of the b-range nearer to 1 and open at the far end.
+    """
+    s = families._orientation(k)
+    near, far = families._b_near(k), families._b_far(k)
+    if not (s * b >= s * near * (1.0 - s * 1e-12) and s * b < s * far):
+        raise ValueError(
+            f"b must lie between {near} (closed) and {far} (open), got {b}"
+        )
+    coeff = 2.0 * b ** (-k) - 1.0
+    rhs = -k * coeff * b ** (1.0 + k) + 2.0 * (1.0 + k) * families._t_0(b, k)
+    return (rhs / ((1.0 + 2.0 * k) * coeff)) ** (1.0 / (1.0 + k))
+
+
 def d_opt(b: float, m: int) -> float:
     """The d-coordinate of the forward optimal curve at b in [b_min, b_max).
 
     Explicit solution of the stationarity equation of the restricted ratio in
     b at fixed d; always lies in [d_min(b), d_max(b)].
     """
-    lo, hi = families.b_min(m), families.b_max(m)
-    if not (lo * (1.0 - 1e-12) <= b < hi):
-        raise ValueError(f"b must lie in [b_min, b_max) = [{lo}, {hi}), got {b}")
-    coeff = 2.0 * b ** (-m / 2.0) - 1.0
-    rhs = -m * coeff * b ** (1.0 + m / 2.0) + 2.0 * (2.0 + m) * families.t_0(b, m)
-    return (rhs / (2.0 * (1.0 + m) * coeff)) ** (2.0 / (2.0 + m))
+    return _d_opt(b, m / 2.0)
 
 
 def _curve_scan_end(m: int) -> float:
@@ -209,16 +221,7 @@ def d_star_opt(b_star: float, m: int) -> float:
     For m = 1 and b* below the adjoint split point the value drops below
     d*_min(b*); the defining equation is unchanged.
     """
-    lo, hi = families.b_star_min(m), families.b_star_max(m)
-    if not (lo < b_star <= hi * (1.0 + 1e-12)):
-        raise ValueError(
-            f"b* must lie in (b*_min, b*_max] = ({lo}, {hi}], got {b_star}"
-        )
-    coeff = 2.0 * b_star ** (1.0 + m / 2.0) - 1.0
-    rhs = -(2.0 + m) * coeff * b_star ** (-m / 2.0) + 2.0 * m * families.t_0_star(
-        b_star, m
-    )
-    return (rhs / (2.0 * (1.0 + m) * coeff)) ** (-2.0 / m)
+    return _d_opt(b_star, -1.0 - m / 2.0)
 
 
 def duality_map(b: float, m: int) -> DualityRecord:

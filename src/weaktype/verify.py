@@ -74,35 +74,44 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _random_spec(rng: np.random.Generator, m_hi: int = 8) -> FSpecParams:
-    m = int(rng.integers(1, m_hi + 1))
+def _random_spec(rng: np.random.Generator, adjoint: bool = False):
+    """A restricted-family point at fractions u, v in [0.02, 0.98] of the
+    b-range and of the d-range at b; with ``adjoint``, a point (b*, d*)."""
+    if adjoint:
+        params = FStarSpecParams
+        b_near, b_far = families.b_star_max, families.b_star_min
+        d_near, d_far = families.d_star_max, families.d_star_min
+    else:
+        params = FSpecParams
+        b_near, b_far = families.b_min, families.b_max
+        d_near, d_far = families.d_min, families.d_max
+    m = int(rng.integers(1, 9))
     u = rng.uniform(0.02, 0.98)
     v = rng.uniform(0.02, 0.98)
-    b = families.b_min(m) + u * (families.b_max(m) - families.b_min(m))
-    d = families.d_min(b, m) + v * (families.d_max(b, m) - families.d_min(b, m))
-    return FSpecParams(m, b, d)
+    lo, hi = sorted((b_near(m), b_far(m)))
+    b = lo + u * (hi - lo)
+    lo, hi = sorted((d_near(b, m), d_far(b, m)))
+    return params(m, b, lo + v * (hi - lo))
 
 
-def _random_star_spec(rng: np.random.Generator, m_hi: int = 8) -> FStarSpecParams:
-    m = int(rng.integers(1, m_hi + 1))
-    u = rng.uniform(0.02, 0.98)
-    v = rng.uniform(0.02, 0.98)
-    bs = families.b_star_min(m) + u * (
-        families.b_star_max(m) - families.b_star_min(m)
-    )
-    ds = families.d_star_min(bs, m) + v * (
-        families.d_star_max(bs, m) - families.d_star_min(bs, m)
-    )
-    return FStarSpecParams(m, bs, ds)
+# Uniform ranges of a, b/a, c/b (when c > b) and d/c for the general samplers.
+_GENERAL_RANGES = {
+    False: ((0.3, 3.0), (1.05, 2.0), (1.0, 2.0), (1.05, 2.5)),
+    True: ((0.5, 3.0), (0.4, 0.95), (0.4, 0.99), (0.3, 0.9)),
+}
 
 
-def _random_general(rng: np.random.Generator, m_hi: int = 8) -> GeneralFamilyParams:
-    m = int(rng.integers(1, m_hi + 1))
-    a = rng.uniform(0.3, 3.0)
-    b = a * rng.uniform(1.05, 2.0)
-    c = b if rng.uniform() < 0.3 else b * rng.uniform(1.0, 2.0)
-    d = c * rng.uniform(1.05, 2.5)
-    return GeneralFamilyParams(m, a, b, c, d)
+def _random_general(rng: np.random.Generator, adjoint: bool = False):
+    """A general family; with ``adjoint``, (a*, b*, c*, d*) in mirrored order.
+    30% have c = b."""
+    a_range, b_range, c_range, d_range = _GENERAL_RANGES[adjoint]
+    m = int(rng.integers(1, 9))
+    a = rng.uniform(*a_range)
+    b = a * rng.uniform(*b_range)
+    c = b if rng.uniform() < 0.3 else b * rng.uniform(*c_range)
+    d = c * rng.uniform(*d_range)
+    params = GeneralStarFamilyParams if adjoint else GeneralFamilyParams
+    return params(m, a, b, c, d)
 
 
 # --- suites ---------------------------------------------------------------------
@@ -123,53 +132,35 @@ def _suite_eigen(seed: int) -> CheckReport:
     return collector.report("eigen", seed, tolerance=1e-10)
 
 
-def _suite_plateau(seed: int) -> CheckReport:
+def _suite_plateau(seed: int, adjoint: bool = False) -> CheckReport:
+    """T f = +1 on (a, b) and -1 on (c, d) for general families; with
+    ``adjoint``, the adjoint operator on (b*, a*) and (d*, c*)."""
     collector = _Collector()
-    rng = _rng(seed, 1)
+    rng = _rng(seed, 2 if adjoint else 1)
+    star = "*" if adjoint else ""
     for _ in range(40):
-        params = _random_general(rng)
-        f = families.build_general(params)
-        op = lambda_op(params.m)
+        params = _random_general(rng, adjoint)
+        if adjoint:
+            op, f = lambda_star_op(params.m), families.build_general_star(params)
+            a, b = params.a_star, params.b_star
+            c, d = params.c_star, params.d_star
+        else:
+            op, f = lambda_op(params.m), families.build_general(params)
+            a, b, c, d = params.a, params.b, params.c, params.d
         worst = 0.0
         for frac in np.linspace(0.02, 0.98, 20):
-            t = params.a + frac * (params.b - params.a)
-            worst = max(worst, abs(operators.apply_closed_form(op, f, t) - 1.0))
-            t = params.c + frac * (params.d - params.c)
-            worst = max(worst, abs(operators.apply_closed_form(op, f, t) + 1.0))
+            for ends, level in (((a, b), 1.0), ((c, d), -1.0)):
+                lo, hi = sorted(ends)
+                t = lo + frac * (hi - lo)
+                worst = max(worst, abs(operators.apply_closed_form(op, f, t) - level))
         collector.metric(
-            f"m={params.m} a={params.a:.3f} b={params.b:.3f} "
-            f"c={params.c:.3f} d={params.d:.3f}",
+            f"m={params.m} a{star}={a:.3f} b{star}={b:.3f} c{star}={c:.3f} "
+            f"d{star}={d:.3f}",
             worst,
             1.0,
         )
-    return collector.report("plateau", seed, tolerance=1e-9)
-
-
-def _suite_plateau_adjoint(seed: int) -> CheckReport:
-    collector = _Collector()
-    rng = _rng(seed, 2)
-    for _ in range(40):
-        m = int(rng.integers(1, 9))
-        a_s = rng.uniform(0.5, 3.0)
-        b_s = a_s * rng.uniform(0.4, 0.95)
-        c_s = b_s if rng.uniform() < 0.3 else b_s * rng.uniform(0.4, 0.99)
-        d_s = c_s * rng.uniform(0.3, 0.9)
-        f = families.build_general_star(
-            GeneralStarFamilyParams(m, a_s, b_s, c_s, d_s)
-        )
-        op = lambda_star_op(m)
-        worst = 0.0
-        for frac in np.linspace(0.02, 0.98, 20):
-            t = d_s + frac * (c_s - d_s)
-            worst = max(worst, abs(operators.apply_closed_form(op, f, t) + 1.0))
-            t = b_s + frac * (a_s - b_s)
-            worst = max(worst, abs(operators.apply_closed_form(op, f, t) - 1.0))
-        collector.metric(
-            f"m={m} a*={a_s:.3f} b*={b_s:.3f} c*={c_s:.3f} d*={d_s:.3f}",
-            worst,
-            1.0,
-        )
-    return collector.report("plateau_adjoint", seed, tolerance=1e-9)
+    name = "plateau_adjoint" if adjoint else "plateau"
+    return collector.report(name, seed, tolerance=1e-9)
 
 
 def _suite_oracle(seed: int) -> CheckReport:
@@ -190,51 +181,29 @@ def _suite_oracle(seed: int) -> CheckReport:
             worst,
             1e-8,
         )
-    # closed-form ratio vs structural superlevel / exact L1
-    for _ in range(300):
-        params = _random_spec(rng)
-        f = families.build_spec(params)
-        report = functionals.oracle_ratio(lambda_op(params.m), f)
-        residual = abs(W(params.b, params.d, params.m) - report.ratio)
-        collector.metric(
-            f"ratio m={params.m} b={params.b:.3f} d={params.d:.3f}",
-            residual,
-            1e-7,
-        )
-        measured = operators.superlevel_measure(lambda_op(params.m), f)
-        single = (
-            len(measured.intervals) == 1
-            and abs(measured.intervals[0][0] - 1.0) <= 1e-9
-            and abs(measured.intervals[0][1] - params.d) <= 1e-9 * params.d
-        )
-        collector.bound(
-            f"single interval m={params.m} b={params.b:.3f} d={params.d:.3f}",
-            single,
-        )
-    for _ in range(300):
-        params = _random_star_spec(rng)
-        f = families.build_star_spec(params)
-        report = functionals.oracle_ratio(lambda_star_op(params.m), f)
-        residual = abs(
-            W_star(params.b_star, params.d_star, params.m) - report.ratio
-        )
-        collector.metric(
-            f"adjoint ratio m={params.m} b*={params.b_star:.3f} "
-            f"d*={params.d_star:.3f}",
-            residual,
-            1e-7,
-        )
-        measured = operators.superlevel_measure(lambda_star_op(params.m), f)
-        single = (
-            len(measured.intervals) == 1
-            and abs(measured.intervals[0][0] - params.d_star) <= 1e-9
-            and abs(measured.intervals[0][1] - 1.0) <= 1e-9
-        )
-        collector.bound(
-            f"adjoint single interval m={params.m} b*={params.b_star:.3f} "
-            f"d*={params.d_star:.3f}",
-            single,
-        )
+    # closed-form ratio vs structural superlevel / exact L1, each direction
+    for adjoint in (False, True):
+        prefix, star = ("adjoint ", "*") if adjoint else ("", "")
+        for _ in range(300):
+            params = _random_spec(rng, adjoint)
+            m = params.m
+            if adjoint:
+                b, d = params.b_star, params.d_star
+                op, f = lambda_star_op(m), families.build_star_spec(params)
+                closed = W_star(b, d, m)
+            else:
+                b, d = params.b, params.d
+                op, f = lambda_op(m), families.build_spec(params)
+                closed = W(b, d, m)
+            label = f"m={m} b{star}={b:.3f} d{star}={d:.3f}"
+            report = functionals.oracle_ratio(op, f)
+            collector.metric(f"{prefix}ratio {label}", closed - report.ratio, 1e-7)
+            intervals = operators.superlevel_measure(op, f).intervals
+            single = len(intervals) == 1 and all(
+                abs(end - ref) <= 1e-9 * max(1.0, ref)
+                for end, ref in zip(intervals[0], sorted((1.0, d)))
+            )
+            collector.bound(f"{prefix}single interval {label}", single)
     return collector.report("oracle", seed)
 
 
@@ -549,7 +518,7 @@ def _suite_push(seed: int) -> CheckReport:
 _SUITES = {
     "eigen": _suite_eigen,
     "plateau": _suite_plateau,
-    "plateau_adjoint": _suite_plateau_adjoint,
+    "plateau_adjoint": lambda seed: _suite_plateau(seed, adjoint=True),
     "oracle": _suite_oracle,
     "scaling": _suite_scaling,
     "boundaries": _suite_boundaries,

@@ -111,10 +111,25 @@ class TestCurves:
         _, rows = parse_csv(out)
         assert float(rows[-1][0]) == pytest.approx(7.0 ** (2.0 / 3.0), rel=1e-8)
 
-    def test_bad_samples_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["curves", "--m", "2", "--samples", "1"])
-        assert excinfo.value.code == 2
+    @staticmethod
+    def _assert_one_line_usage_error(capsys, args, message):
+        err = usage_error(capsys, ["curves", *args])
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith(message)
+
+    def test_bad_samples_rejected(self, capsys):
+        # rejected by argparse before numpy is asked for the array
+        for samples in ("1", "100000000000"):
+            self._assert_one_line_usage_error(
+                capsys, ["--m", "2", "--samples", samples],
+                f"samples must be in [2, 100000], got {samples}",
+            )
+
+    def test_bad_m_rejected(self, capsys):
+        self._assert_one_line_usage_error(
+            capsys, ["--m", "0"], "m must be >= 1, got 0"
+        )
 
 
 class TestAsymptotic:
@@ -225,11 +240,24 @@ class TestUsage:
         assert excinfo.value.code == 2
 
 
+def _source_env():
+    src = str(Path(weaktype.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 class TestModuleEntryPoint:
+    def test_import_leaves_test_only_mpmath_unloaded(self):
+        code = "import sys, weaktype.cli; print('mpmath' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_source_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
     def test_python_m_weaktype_matches_cli_module(self):
-        src = str(Path(weaktype.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        env = _source_env()
         outputs = []
         for module in ("weaktype", "weaktype.cli"):
             result = subprocess.run(

