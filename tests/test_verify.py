@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,19 +8,12 @@ from weaktype import verify
 from weaktype.verify import SUITE_NAMES, Status, reports_to_json, run_suite
 
 
-# SHA-256 of reports_to_json over every suite; seed 0 is pinned byte for byte
-# in verify_seed0.json.  Refactors must leave these unchanged.
-_SEED_DIGESTS = {
-    1: "62471cf625c16f4234e6f862a9a804d51484932641c42c4a6c556f3a0a430dd3",
-    2: "ad19520fd424a190e63de352a545b1da5613037ca5ecac4ab08a167af60fb2fa",
-    3: "e1ff1da5b4fe8e4016fba116d47e47ae411c67ecc8e6b6625c7bed2170d9026b",
-    4: "1b64488f265a85c7c743de17db0d4aaf07bc94379676560b34e0aa6facab7788",
-    5: "ff90e82fc4ce34cc974c332610043c5400ba21d236bfb6d33639c14a3c98dbd1",
-    6: "f6cf166abf847dc3845e20180094ce646716ecf8a99a487747def4bcebcfc709",
-    7: "8953996ceb502322ed964a72b2542a1e39284768f1126d27d4567c008651e35d",
-    8: "47797bc9550d9cd94710450da58e999dd0d5840d8a085c5b6d6b0d46e4abee2f",
-    9: "902752e8a109a59389573f23d234a762f0bc7d311632f7da2128de49a7caa6ac",
-}
+# SHA-256 of reports_to_json([report]) per seed and suite, so a change to one
+# suite fails only that suite's digests; seed 0 is also pinned byte for byte in
+# verify_seed0.json.  Refactors must leave these unchanged.
+_SUITE_DIGESTS = json.loads(
+    Path(__file__).with_name("verify_digests.json").read_text()
+)
 
 
 class TestRunSuite:
@@ -72,10 +66,15 @@ class TestDeterminism:
         second = run_suite(["plateau"], 2)[0]
         assert first.details != second.details
 
-    @pytest.mark.parametrize("seed", sorted(_SEED_DIGESTS))
+    @pytest.mark.parametrize("seed", range(10))
     def test_full_sweep_json_is_pinned(self, seed):
-        text = reports_to_json(run_suite(list(SUITE_NAMES), seed))
-        assert hashlib.sha256(text.encode()).hexdigest() == _SEED_DIGESTS[seed]
+        digests = {
+            report.name: hashlib.sha256(
+                reports_to_json([report]).encode()
+            ).hexdigest()
+            for report in run_suite(list(SUITE_NAMES), seed)
+        }
+        assert digests == _SUITE_DIGESTS[str(seed)]
 
 
 class TestJsonReport:
