@@ -136,17 +136,18 @@ def _parse_m_list(text: str) -> list[int]:
     return values
 
 
-def _int_in(name: str, lo: int, hi: int | None = None):
-    """An argparse type: an integer in [lo, hi], or at least lo without hi."""
+def _int_in(name: str, lo: int, hi: int):
+    """An argparse type: an integer in [lo, hi]."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad {name} {text!r}") from exc
-        if value < lo or (hi is not None and value > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be in [{lo}, {hi}], got {value}"
+            )
         return value
 
     return parse
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table1)
 
     p_curves = sub.add_parser("curves", help="export the optimal-curve data for one m")
-    p_curves.add_argument("--m", type=_int_in("m", 1), default=1)
+    p_curves.add_argument("--m", type=_int_in("m", 1, 1_000_000), default=1)
     p_curves.add_argument("--samples", type=_int_in("samples", 2, 100_000), default=100)
     _add_output_flags(p_curves)
     p_curves.set_defaults(func=cmd_curves)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .operators import _check_m
 from .piecewise import PiecewisePowerFunction, PowerPiece
 
 __all__ = [
@@ -74,11 +75,6 @@ class ConstraintDiagnostic:
     name: str
     slack: float
     satisfied: bool
-
-
-def _check_m(m: int) -> None:
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m}")
 
 
 # --- shared closed forms in the kernel exponent k -------------------------------
@@ -236,6 +232,54 @@ def _validate_general_star(
     ]
 
 
+# Restricted-family constraint names per direction, in the forward order; the
+# near end of the b-range has a name for the closure and one for the open region.
+_SPEC_NAMES = (
+    "b > 0", "d > 0", "b >= b_min", "b > b_min", "b < b_max", "D(b, m) > 0",
+    "d > d_min(b)", "d < d_max(b)", "second piece negative at b",
+    "second piece positive at d", "second piece below 2 at d",
+)
+_STAR_SPEC_NAMES = (
+    "b* > 0", "d* > 0", "b* <= b*_max", "b* < b*_max", "b* > b*_min",
+    "D*(b*, m) > 0", "d* < d*_max(b*)", "d* > d*_min(b*)",
+    "inner piece negative at b*", "inner piece positive at d*",
+    "inner piece below 2 at d*",
+)
+
+
+def _validate_restricted(
+    k: float, b: float, d: float, closure: bool, names: tuple[str, ...]
+) -> list[ConstraintDiagnostic]:
+    """Slack of every restricted-family constraint at (b, d), in the kernel
+    exponent k; the orientation turns each forward slack into its mirror."""
+
+    def diag(name: str, slack: float, relaxable: bool = True):
+        ok = slack >= 0.0 if closure and relaxable else slack > 0.0
+        return ConstraintDiagnostic(name, slack, ok)
+
+    pos_b, pos_d, near_closed, near_open, far, coeff, *pieces = names
+    out = [diag(pos_b, b, False), diag(pos_d, d, False)]
+    if b <= 0.0 or d <= 0.0:
+        return out
+    s = _orientation(k)
+    out += [
+        diag(near_closed if closure else near_open, s * (b - _b_near(k))),
+        diag(far, s * (_b_far(k) - b), False),
+    ]
+    try:
+        dd = _spec_D(b, k)
+    except OverflowError:  # b**(-k) overflows only far beyond the near end
+        return out
+    out.append(diag(coeff, dd, False))
+    if dd <= 0.0:
+        return out
+    const = (1.0 + k) / k
+    at_b = -const + dd * b ** k
+    at_d = -const + dd * d ** k
+    slacks = (s * (d - _t_0(b, k)), s * (_d_far(b, k) - d), -at_b, at_d, 2.0 - at_d)
+    return out + [diag(name, slack) for name, slack in zip(pieces, slacks)]
+
+
 def validate_spec(
     m: int, b: float, d: float, closure: bool = False
 ) -> list[ConstraintDiagnostic]:
@@ -244,72 +288,21 @@ def validate_spec(
     The derived interval constraints are canonical; the raw inequality chain
     on the second piece is kept as a redundant cross-check.  With ``closure``
     the relaxable inequalities become non-strict (the region's closure), but
-    the coefficient positivity stays strict.
+    the far end of the b-range and the coefficient positivity stay strict.
     """
     _check_m(m)
-    out = [
-        ConstraintDiagnostic("b > 0", b, b > 0.0),
-        ConstraintDiagnostic("d > 0", d, d > 0.0),
-    ]
-    if b <= 0.0 or d <= 0.0:
-        return out
-    dd = spec_D(b, m)
-    lo, hi = b_min(m), b_max(m)
-    out.append(ConstraintDiagnostic("b > b_min" if not closure else "b >= b_min",
-                                    b - lo, b >= lo if closure else b > lo))
-    out.append(ConstraintDiagnostic("b < b_max", hi - b, b < hi))
-    out.append(ConstraintDiagnostic("D(b, m) > 0", dd, dd > 0.0))
-    if dd <= 0.0:
-        return out
-    at_b = -(2.0 + m) / m + dd * b ** (m / 2.0)
-    at_d = -(2.0 + m) / m + dd * d ** (m / 2.0)
-    relaxable = [
-        ("d > d_min(b)", d - d_min(b, m)),
-        ("d < d_max(b)", d_max(b, m) - d),
-        ("second piece negative at b", -at_b),
-        ("second piece positive at d", at_d),
-        ("second piece below 2 at d", 2.0 - at_d),
-    ]
-    for name, slack in relaxable:
-        ok = slack >= 0.0 if closure else slack > 0.0
-        out.append(ConstraintDiagnostic(name, slack, ok))
-    return out
+    return _validate_restricted(m / 2.0, b, d, closure, _SPEC_NAMES)
 
 
 def validate_star_spec(
     m: int, b_star: float, d_star: float, closure: bool = False
 ) -> list[ConstraintDiagnostic]:
-    """Adjoint counterpart of validate_spec at (b*, d*)."""
+    """Adjoint counterpart of validate_spec at (b*, d*): the same constraints
+    at k = -1 - m/2, named for the mirrored intervals."""
     _check_m(m)
-    out = [
-        ConstraintDiagnostic("d* > 0", d_star, d_star > 0.0),
-        ConstraintDiagnostic("b* > d*", b_star - d_star, b_star > d_star),
-        ConstraintDiagnostic("b* < 1", 1.0 - b_star, b_star < 1.0),
-    ]
-    if d_star <= 0.0 or not d_star < b_star < 1.0:
-        return out
-    dd = star_spec_D(b_star, m)
-    out.append(
-        ConstraintDiagnostic("b* > b*_min", b_star - b_star_min(m),
-                             b_star > b_star_min(m))
+    return _validate_restricted(
+        -1.0 - m / 2.0, b_star, d_star, closure, _STAR_SPEC_NAMES
     )
-    out.append(ConstraintDiagnostic("D*(b*, m) > 0", dd, dd > 0.0))
-    if dd <= 0.0:
-        return out
-    at_b = -m / (2.0 + m) + dd * b_star ** (-1.0 - m / 2.0)
-    at_d = -m / (2.0 + m) + dd * d_star ** (-1.0 - m / 2.0)
-    relaxable = [
-        ("b* < b*_max", b_star_max(m) - b_star),
-        ("d* > d*_min(b*)", d_star - d_star_min(b_star, m)),
-        ("d* < d*_max(b*)", d_star_max(b_star, m) - d_star),
-        ("inner piece negative at b*", -at_b),
-        ("inner piece positive at d*", at_d),
-        ("inner piece below 2 at d*", 2.0 - at_d),
-    ]
-    for name, slack in relaxable:
-        ok = slack >= 0.0 if closure else slack > 0.0
-        out.append(ConstraintDiagnostic(name, slack, ok))
-    return out
 
 
 def _raise_on_failure(diagnostics) -> None:

@@ -1,12 +1,13 @@
 """The radial averaging-minus-identity operators and their independent oracle.
 
-The forward operator with parameter m acts on f as
+Both operators with parameter m act on f as
 
-    (1+m) / t**(1+m/2) * integral_0^t f(s) s**(m/2) ds  -  f(t)
+    T f(t) = (1+2k) * t**(-1-k) * integral_{s0}^t f(s) s**k ds  -  f(t)
 
-and its adjoint as
-
-    (1+m) * t**(m/2) * integral_t^inf f(s) / s**(1+m/2) ds  -  f(t).
+with kernel exponent k = m/2 and s0 = 0 forward, and k = -1 - m/2 and
+s0 = infinity for the adjoint, which is (1+m) * t**(m/2) * integral_t^inf
+f(s) / s**(1+m/2) ds - f(t).  Both map t**alpha to (k - alpha) / (1 + alpha + k)
+times itself wherever the integral converges.
 
 Closed-form application uses the exact piecewise moment integrals.  The
 independent oracle recomputes the same values by QUADPACK quadrature
@@ -58,6 +59,11 @@ class Kind(enum.Enum):
     LAMBDA_STAR = "lambda_star"
 
 
+def _check_m(m: int) -> None:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+
+
 @dataclass(frozen=True)
 class OperatorKind:
     """Which operator (forward or adjoint) and its integer parameter m >= 1."""
@@ -66,8 +72,13 @@ class OperatorKind:
     m: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError(f"m must be an integer >= 1, got {self.m}")
+        _check_m(self.m)
+
+    @property
+    def k(self) -> float:
+        """Kernel exponent: m/2 forward, -1 - m/2 adjoint."""
+        half = self.m / 2.0
+        return half if self.kind is Kind.LAMBDA else -1.0 - half
 
 
 def lambda_op(m: int) -> OperatorKind:
@@ -93,30 +104,42 @@ class SuperlevelResult:
 def eigenvalue(op: OperatorKind, alpha: float) -> float:
     """Eigenvalue of ``t**alpha`` under the operator.
 
-    Forward: (m/2 - alpha) / (1 + alpha + m/2) for alpha > -1 - m/2.
-    Adjoint: (1 + alpha + m/2) / (m/2 - alpha) for alpha < m/2.
+    It is (k - alpha) / (1 + alpha + k) in the kernel exponent k:
+    forward (m/2 - alpha) / (1 + alpha + m/2) for alpha > -1 - m/2, and
+    adjoint its reciprocal (1 + alpha + m/2) / (m/2 - alpha) for alpha < m/2.
     """
     half = op.m / 2.0
+    num, den = half - alpha, 1.0 + alpha + half
     if op.kind is Kind.LAMBDA:
         if alpha <= -1.0 - half:
             raise ValueError(f"alpha must exceed {-1 - half}, got {alpha}")
-        return (half - alpha) / (1.0 + alpha + half)
+        return num / den
     if alpha >= half:
         raise ValueError(f"alpha must be below {half}, got {alpha}")
-    return (1.0 + alpha + half) / (half - alpha)
+    return den / num
+
+
+def _integration(op: OperatorKind, f: PiecewisePowerFunction, t: float):
+    """(lo, hi, prefactor) with Tf(t) = prefactor * integral_lo^hi f(s) s**k ds - f(t).
+
+    The prefactor is (1+2k) t**(-1-k) signed by the orientation of the
+    integral (0 up to t, or infinity down to t), so it is positive.
+    """
+    if t <= 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    k = op.k
+    if op.kind is Kind.LAMBDA:
+        lo, hi, sign = 0.0, t, 1.0
+    else:
+        lo, hi, sign = t, f.support()[1], -1.0
+    return lo, hi, sign * (1.0 + 2.0 * k) * t ** (-1.0 - k)
 
 
 def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> float:
     """Exact operator value at ``t > 0`` via closed-form moment integrals."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    m = op.m
-    if op.kind is Kind.LAMBDA:
-        integral = moment_integral(f, m / 2.0, 0.0, t) if f.pieces else 0.0
-        return (1.0 + m) * t ** (-1.0 - m / 2.0) * integral - evaluate(f, t)
-    sup_hi = f.support()[1]
-    integral = moment_integral(f, -1.0 - m / 2.0, t, sup_hi) if t < sup_hi else 0.0
-    return (1.0 + m) * t ** (m / 2.0) * integral - evaluate(f, t)
+    lo, hi, prefactor = _integration(op, f, t)
+    integral = moment_integral(f, op.k, lo, hi) if lo < hi else 0.0
+    return prefactor * integral - evaluate(f, t)
 
 
 def _weighted_expression(s: float, piece: PowerPiece, weight: float) -> float:
@@ -137,19 +160,9 @@ def apply_quadrature_oracle(
     """
     from scipy.integrate import quad
 
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    lo, hi, prefactor = _integration(op, f, t)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    m = op.m
-    if op.kind is Kind.LAMBDA:
-        lo, hi = 0.0, t
-        weight = m / 2.0
-        prefactor = (1.0 + m) * t ** (-1.0 - m / 2.0)
-    else:
-        lo, hi = t, f.support()[1]
-        weight = -1.0 - m / 2.0
-        prefactor = (1.0 + m) * t ** (m / 2.0)
     if lo >= hi or prefactor == 0.0:
         # an underflowed prefactor leaves no integral term to check
         return -evaluate(f, t)
@@ -165,7 +178,7 @@ def apply_quadrature_oracle(
         if piece is None:
             continue
         value, _, _, *message = quad(
-            _weighted_expression, a, b, args=(piece, weight),
+            _weighted_expression, a, b, args=(piece, op.k),
             epsabs=panel_tol, epsrel=0.0, full_output=1,
         )
         if message:
@@ -179,11 +192,10 @@ def apply_quadrature_oracle(
 # --- structural superlevel sets -------------------------------------------
 #
 # A region is a maximal interval on which Tf is a single closed-form
-# expression A * t**q + C, where q = -1 - w for the kernel weight w (m/2
-# forward, -1-m/2 adjoint).  One walker sweeps the pieces in the direction
-# the operator integrates (ascending from 0 forward, descending from the top
-# of the support for the adjoint) and carries the mass of f(s) s**w swept so
-# far:
+# expression A * t**q + C, where q = -1 - k for the kernel exponent k.  One
+# walker sweeps the pieces in the direction the operator integrates (ascending
+# from 0 forward, descending from the top of the support for the adjoint) and
+# carries the mass of f(s) s**k swept so far:
 #   * gaps, the forward tail and the adjoint head carry that mass: A * t**q;
 #   * inside a piece c0 + c1*t**p, extending the piece expression to a global
 #     power function leaves A * t**q plus the eigen-image of the expression.
@@ -229,29 +241,26 @@ def _piece_primitive(pc: PowerPiece, weight: float, t: float) -> float:
 def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
     m = op.m
     forward = op.kind is Kind.LAMBDA
-    weight = m / 2.0 if forward else -1.0 - m / 2.0
-    q = -1.0 - weight
+    k = op.k
+    q = -1.0 - k
     sign = 1.0 if forward else -1.0
     lam0 = eigenvalue(op, 0.0)
     regions: list[_Region] = []
-    mass = 0.0  # integral of f(s) s**weight between the sweep's start and position
+    mass = 0.0  # integral of f(s) s**k between the sweep's start and position
     position = 0.0 if forward else f.support()[1]
     for pc in f.pieces if forward else reversed(f.pieces):
         near, far = (pc.t_lo, pc.t_hi) if forward else (pc.t_hi, pc.t_lo)
         if near != position:
             lo, hi = (position, near) if forward else (near, position)
             regions.append(_Region(lo, hi, (1.0 + m) * mass, q, 0.0))
-        if forward and pc.p <= q + 1e-12:
+        if not sign * (pc.p - q) > 1e-12:
             raise ValueError(
-                f"piece exponent {pc.p} is not integrable against the weight"
-            )
-        if not forward and pc.p >= q - 1e-12:
-            raise ValueError(
-                f"piece exponent {pc.p} is not tail-integrable against the weight"
+                f"piece exponent {pc.p} is not "
+                f"{'' if forward else 'tail-'}integrable against the weight"
             )
         # A * t**q is the swept mass less what the extended piece expression
         # would have put between the sweep's start and the piece
-        coeff = (1.0 + m) * (mass - sign * _piece_primitive(pc, weight, near))
+        coeff = (1.0 + m) * (mass - sign * _piece_primitive(pc, k, near))
         const = pc.c0 * lam0
         pow_coeff = pc.c1 * eigenvalue(op, pc.p)
         if pc.p == 0.0:
@@ -268,7 +277,7 @@ def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
                 f"the {'forward' if forward else 'adjoint'} operator "
                 f"(p={pc.p}, m={m})"
             )
-        mass += _piece_moment(pc, weight, pc.t_lo, pc.t_hi)
+        mass += _piece_moment(pc, k, pc.t_lo, pc.t_hi)
         position = far
     end = math.inf if forward else 0.0
     if position != end:
@@ -399,26 +408,23 @@ def eigen_check(
 ) -> float:
     """Max deviation |T(t**alpha)(t) - lam * t**alpha| over the samples.
 
-    The power function is truncated to a finite support; adjoint samples must
-    stay a factor 1e3 below the truncation point so the tail error is
-    negligible.
+    t**alpha is cut off at twice the largest sample.  The forward operator
+    integrates only below t, so the cut-off changes nothing there; the
+    adjoint integrates up to infinity, so the exact mass past the cut-off,
+    (1+2k)/(1+alpha+k) * t**(-1-k) * cut**(1+alpha+k), is added back.
     """
     if not t_samples:
         raise ValueError("need at least one sample point")
     if min(t_samples) <= 0.0:
         raise ValueError("sample points must be positive")
     lam = eigenvalue(op, alpha)
-    if op.kind is Kind.LAMBDA:
-        t_hi = 2.0 * max(t_samples)
-    else:
-        t_hi = 1e6
-        if max(t_samples) > 1e-3 * t_hi:
-            raise ValueError(
-                f"adjoint samples must not exceed {1e-3 * t_hi}"
-            )
-    f = PiecewisePowerFunction((PowerPiece(0.0, t_hi, 0.0, 1.0, alpha),))
+    k, cut = op.k, 2.0 * max(t_samples)
+    f = PiecewisePowerFunction((PowerPiece(0.0, cut, 0.0, 1.0, alpha),))
+    tail = 0.0  # the mass past the cut-off over t**(-1-k)
+    if op.kind is Kind.LAMBDA_STAR:
+        tail = (1.0 + 2.0 * k) / (1.0 + alpha + k) * cut ** (1.0 + alpha + k)
     worst = 0.0
     for t in t_samples:
-        deviation = abs(apply_closed_form(op, f, t) - lam * t ** alpha)
-        worst = max(worst, deviation)
+        value = apply_closed_form(op, f, t) + tail * t ** (-1.0 - k)
+        worst = max(worst, abs(value - lam * t ** alpha))
     return worst

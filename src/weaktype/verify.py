@@ -119,16 +119,14 @@ def _random_general(rng: np.random.Generator, adjoint: bool = False):
 def _suite_eigen(seed: int) -> CheckReport:
     collector = _Collector()
     for m in range(1, 9):
-        op = lambda_op(m)
-        alphas = np.arange(-1.0 - m / 2.0 + 0.5, 3.0 + 1e-9, 0.5)
-        for alpha in alphas:
-            dev = operators.eigen_check(op, float(alpha), [0.5, 1.0, 2.0])
-            collector.metric(f"forward m={m} alpha={alpha}", dev, 1.0)
-        op = lambda_star_op(m)
-        alphas = np.arange(-3.0, m / 2.0 - 2.0 + 1e-9, 0.5)
-        for alpha in alphas:
-            dev = operators.eigen_check(op, float(alpha), [0.5, 1.0, 2.0])
-            collector.metric(f"adjoint m={m} alpha={alpha}", dev, 1.0)
+        # alpha comes within 0.5 of the integrability edge alpha = -1 - k
+        for name, op, lo, hi in (
+            ("forward", lambda_op(m), -1.0 - m / 2.0 + 0.5, 3.0),
+            ("adjoint", lambda_star_op(m), -3.0, m / 2.0 - 0.5),
+        ):
+            for alpha in np.arange(lo, hi + 1e-9, 0.5):
+                dev = operators.eigen_check(op, float(alpha), [0.5, 1.0, 2.0])
+                collector.metric(f"{name} m={m} alpha={alpha}", dev, 1.0)
     return collector.report("eigen", seed, tolerance=1e-10)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,3 +213,27 @@ class TestValidate:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             validate(object())
+
+    @pytest.mark.parametrize("m", [np.int64(3), True, 2.0, 0])
+    @pytest.mark.parametrize(
+        "params,args",
+        [
+            (FSpecParams, (2.157, 6.623)),
+            (FStarSpecParams, (0.649, 0.150)),
+            (GeneralFamilyParams, (0.7, 1.2, 1.9, 3.1)),
+            (GeneralStarFamilyParams, (2.3, 1.4, 0.9, 0.5)),
+        ],
+    )
+    def test_non_integer_or_small_m_rejected(self, params, args, m):
+        message = f"m must be an integer >= 1, got {m!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params(m, *args)
+
+    @pytest.mark.parametrize(
+        "params,b,name",
+        [(FSpecParams, 1e-20, "b > b_min"), (FStarSpecParams, 1e100, "b* < b*_max")],
+    )
+    def test_b_far_beyond_near_end_rejected(self, params, b, name):
+        # b**(-k) overflows there, so D is not computed; the near end fails
+        with pytest.raises(ConstraintViolation, match=re.escape(name)):
+            params(40, b, 0.5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestOperatorKind:
     def test_factories(self):
         assert lambda_op(3).kind is Kind.LAMBDA
         assert lambda_star_op(3).kind is Kind.LAMBDA_STAR
+
+    def test_kernel_exponent(self):
+        assert lambda_op(3).k == 1.5
+        assert lambda_star_op(3).k == -2.5
+
+    @pytest.mark.parametrize("m", [np.int64(3), True, 2.0, 0])
+    def test_non_integer_or_small_m_rejected(self, m):
+        message = f"m must be an integer >= 1, got {m!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lambda_op(m)
 
 
 class TestClosedForm:
@@ -230,9 +241,9 @@ class TestEigenCheck:
         with pytest.raises(ValueError):
             eigen_check(lambda_star_op(2), 1.5, [1.0])
 
-    def test_adjoint_samples_near_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            eigen_check(lambda_star_op(1), -2.0, [1e5])
+    def test_adjoint_tail_accounted_exactly(self):
+        # a cut-off at 1e6 without the tail's mass leaves 7.2e-11 here
+        assert eigen_check(lambda_star_op(8), 2.0, [2.0]) < 1e-13
 
 
 class TestClosedFormVsOracleSweep:
