@@ -273,11 +273,17 @@ def _validate_restricted(
     out.append(diag(coeff, dd, False))
     if dd <= 0.0:
         return out
+    d_range = (s * (d - _t_0(b, k)), s * (_d_far(b, k) - d))
+    out += [diag(name, slack) for name, slack in zip(pieces, d_range)]
+    try:
+        d_k = d ** k
+    except OverflowError:  # d**k overflows only far beyond the d-range
+        return out
     const = (1.0 + k) / k
     at_b = -const + dd * b ** k
-    at_d = -const + dd * d ** k
-    slacks = (s * (d - _t_0(b, k)), s * (_d_far(b, k) - d), -at_b, at_d, 2.0 - at_d)
-    return out + [diag(name, slack) for name, slack in zip(pieces, slacks)]
+    at_d = -const + dd * d_k
+    slacks = (-at_b, at_d, 2.0 - at_d)
+    return out + [diag(name, slack) for name, slack in zip(pieces[2:], slacks)]
 
 
 def validate_spec(

@@ -13,9 +13,11 @@ Closed-form application uses the exact piecewise moment integrals.  The
 independent oracle recomputes the same values by QUADPACK quadrature
 (``scipy.integrate.quad``) with piece boundaries as mandatory panel breaks.
 Superlevel sets are located structurally: on every maximal region (piece,
-gap, or tail) the transformed function is a two-term power expression whose
-threshold crossings solve in closed form, and every genuine crossing is
-certified by Brent's method on the quadrature oracle inside its region.
+gap, or tail) the transformed function is a two-term power expression, so
+each region is itself a ``PowerPiece``.  Its threshold crossings are the
+interior roots (``piecewise._interior_root``) of the region shifted by the
+threshold, and every genuine crossing is certified by Brent's method on the
+quadrature oracle inside its region.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from .piecewise import (
     PiecewisePowerFunction,
     PowerPiece,
+    _interior_root,
     _piece_moment,
     evaluate,
     moment_integral,
@@ -192,25 +195,19 @@ def apply_quadrature_oracle(
 # --- structural superlevel sets -------------------------------------------
 #
 # A region is a maximal interval on which Tf is a single closed-form
-# expression A * t**q + C, where q = -1 - k for the kernel exponent k.  One
-# walker sweeps the pieces in the direction the operator integrates (ascending
-# from 0 forward, descending from the top of the support for the adjoint) and
-# carries the mass of f(s) s**k swept so far:
+# expression C + A * t**q, so it is a PowerPiece(lo, hi, C, A, q), with
+# hi = inf for the forward tail; here q = -1 - k for the kernel exponent k.
+# One walker sweeps the pieces of f in the direction the operator integrates
+# (ascending from 0 forward, descending from the top of the support for the
+# adjoint) and carries the mass of f(s) s**k swept so far:
 #   * gaps, the forward tail and the adjoint head carry that mass: A * t**q;
 #   * inside a piece c0 + c1*t**p, extending the piece expression to a global
 #     power function leaves A * t**q plus the eigen-image of the expression.
 # Pieces whose eigen-image keeps a second non-constant power term (possible
 # only when p differs from the operator's kernel exponent and from 0) do not
-# reduce to two terms and are rejected.
-
-
-@dataclass(frozen=True)
-class _Region:
-    lo: float
-    hi: float  # math.inf for the forward tail
-    coeff: float  # A
-    q: float
-    const: float  # C
+# reduce to two terms and are rejected.  A crossing of the level +-thr is the
+# interior root of the region shifted by that level, from the same
+# piecewise._interior_root that splits pieces for l1_norm.
 
 
 def _negligible(coeff: float, q: float, lo: float, hi: float, scale: float) -> bool:
@@ -238,21 +235,21 @@ def _piece_primitive(pc: PowerPiece, weight: float, t: float) -> float:
     return total
 
 
-def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
+def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[PowerPiece]:
     m = op.m
     forward = op.kind is Kind.LAMBDA
     k = op.k
     q = -1.0 - k
     sign = 1.0 if forward else -1.0
     lam0 = eigenvalue(op, 0.0)
-    regions: list[_Region] = []
+    regions: list[PowerPiece] = []
     mass = 0.0  # integral of f(s) s**k between the sweep's start and position
     position = 0.0 if forward else f.support()[1]
     for pc in f.pieces if forward else reversed(f.pieces):
         near, far = (pc.t_lo, pc.t_hi) if forward else (pc.t_hi, pc.t_lo)
         if near != position:
             lo, hi = (position, near) if forward else (near, position)
-            regions.append(_Region(lo, hi, (1.0 + m) * mass, q, 0.0))
+            regions.append(PowerPiece(lo, hi, 0.0, (1.0 + m) * mass, q))
         if not sign * (pc.p - q) > 1e-12:
             raise ValueError(
                 f"piece exponent {pc.p} is not "
@@ -268,9 +265,9 @@ def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
             pow_coeff = 0.0
         scale = max(1.0, abs(const))
         if _negligible(pow_coeff, pc.p, pc.t_lo, pc.t_hi, scale):
-            regions.append(_Region(pc.t_lo, pc.t_hi, coeff, q, const))
+            regions.append(PowerPiece(pc.t_lo, pc.t_hi, const, coeff, q))
         elif _negligible(coeff, q, pc.t_lo, pc.t_hi, scale):
-            regions.append(_Region(pc.t_lo, pc.t_hi, pow_coeff, pc.p, const))
+            regions.append(PowerPiece(pc.t_lo, pc.t_hi, const, pow_coeff, pc.p))
         else:
             raise ValueError(
                 "piece does not reduce to a two-term power expression under "
@@ -282,51 +279,41 @@ def _regions(op: OperatorKind, f: PiecewisePowerFunction) -> list[_Region]:
     end = math.inf if forward else 0.0
     if position != end:
         lo, hi = (position, end) if forward else (end, position)
-        regions.append(_Region(lo, hi, (1.0 + m) * mass, q, 0.0))
+        regions.append(PowerPiece(lo, hi, 0.0, (1.0 + m) * mass, q))
     return regions if forward else regions[::-1]
 
 
-def _region_value(region: _Region, t: float) -> float:
-    return region.coeff * t ** region.q + region.const
-
-
 def _region_intervals(
-    region: _Region, thr: float
+    region: PowerPiece, thr: float
 ) -> list[tuple[float, float, bool, bool]]:
-    """Intervals of {|A t**q + C| >= thr} in (lo, hi).
+    """Intervals of {|c0 + c1 t**p| >= thr} in (t_lo, t_hi).
 
     Returns (u, v, u_is_crossing, v_is_crossing); endpoints that are region
     boundaries are not crossings.
     """
-    lo, hi = region.lo, region.hi
     slack = THRESHOLD_SLACK * thr
     crossings: list[float] = []
-    if region.coeff != 0.0 and region.q != 0.0:
-        for target in (thr, -thr):
-            # A crossing of target needs the power term to bridge the gap
-            # between the constant and the target; a sub-slack gap is a
-            # plateau sitting on the threshold, not a crossing.
-            if abs(target - region.const) <= slack:
-                continue
-            ratio = (target - region.const) / region.coeff
-            if ratio > 0.0 and math.isfinite(ratio):
-                try:
-                    t_cross = ratio ** (1.0 / region.q)
-                except OverflowError:
-                    continue
-                near_lo = lo > 0.0 and abs(t_cross - lo) <= 1e-12 * lo
-                near_hi = math.isfinite(hi) and abs(t_cross - hi) <= 1e-12 * hi
-                if lo < t_cross < hi and not near_lo and not near_hi:
-                    crossings.append(t_cross)
+    for target in (thr, -thr):
+        # A crossing of target needs the power term to bridge the gap
+        # between the constant and the target; a sub-slack gap is a
+        # plateau sitting on the threshold, not a crossing.
+        if abs(target - region.c0) <= slack:
+            continue
+        shifted = PowerPiece(
+            region.t_lo, region.t_hi, region.c0 - target, region.c1, region.p
+        )
+        root = _interior_root(shifted)
+        if root is not None:
+            crossings.append(root)
     crossings.sort()
-    points = [lo] + crossings + [hi]
+    points = [region.t_lo] + crossings + [region.t_hi]
     out: list[tuple[float, float, bool, bool]] = []
     for i, (u, v) in enumerate(zip(points, points[1:])):
         if math.isfinite(v):
             mid = math.sqrt(u * v) if u > 0.0 else 0.5 * v
         else:
             mid = 2.0 * u if u > 0.0 else 1.0
-        if abs(_region_value(region, mid)) >= thr - slack:
+        if abs(region.expression(mid)) >= thr - slack:
             if not math.isfinite(v):
                 raise ValueError("superlevel set is unbounded")
             out.append((u, v, 0 < i, i < len(points) - 2))
@@ -336,7 +323,7 @@ def _region_intervals(
 def _certify_crossing(
     op: OperatorKind,
     f: PiecewisePowerFunction,
-    region: _Region,
+    region: PowerPiece,
     t_cross: float,
     thr: float,
 ) -> None:
@@ -352,8 +339,8 @@ def _certify_crossing(
         return abs(apply_quadrature_oracle(op, f, t, tol=1e-12)) - thr
 
     delta = 1e-3 * t_cross
-    lo = max(t_cross - delta, 0.5 * (region.lo + t_cross))
-    hi = min(t_cross + delta, 0.5 * (t_cross + region.hi))
+    lo = max(t_cross - delta, 0.5 * (region.t_lo + t_cross))
+    hi = min(t_cross + delta, 0.5 * (t_cross + region.t_hi))
     try:
         certified = brentq(residual, lo, hi, xtol=1e-10 * t_cross)
     except ValueError as exc:

@@ -30,7 +30,6 @@ __all__ = [
     "UniformBoundRecord",
     "AuxSupremumRecord",
     "PushCheckRecord",
-    "THETA",
     "UNIFORM_BOUND_CONSTANTS",
     "maximize_W",
     "d_opt",
@@ -49,7 +48,7 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # 2 e^{-1/2} - 1: the limiting coefficient 2 b^{-m/2} - 1 at b = e^{1/m}.
-THETA = 2.0 * math.exp(-0.5) - 1.0
+_THETA = 2.0 * math.exp(-0.5) - 1.0
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,7 @@ def curve_supremum() -> float:
 
 def u0(m: float) -> float:
     """Scaled log of the restricted sign change at b = e^{1/m}: m ln t_0(e^{1/m}, m)."""
-    return 2.0 * math.log((2.0 + m) / (2.0 * (1.0 + m) * THETA))
+    return 2.0 * math.log((2.0 + m) / (2.0 * (1.0 + m) * _THETA))
 
 
 def bound_poly(m: float, quad_bound: float) -> float:
@@ -311,9 +310,9 @@ def bound_poly(m: float, quad_bound: float) -> float:
     )
 
 
-def rational_lower_bound(m: float, quad_bound: float = 3.3) -> float:
-    """6 m (m+1) (m+3/2) (m+2) / bound_poly(m, quad_bound)."""
-    return 6.0 * m * (m + 1.0) * (m + 1.5) * (m + 2.0) / bound_poly(m, quad_bound)
+def rational_lower_bound(m: float) -> float:
+    """6 m (m+1) (m+3/2) (m+2) / bound_poly(m, 3.3)."""
+    return 6.0 * m * (m + 1.0) * (m + 1.5) * (m + 2.0) / bound_poly(m, 3.3)
 
 
 @dataclass(frozen=True)
@@ -326,9 +325,9 @@ class UniformBoundConstants:
 
 
 UNIFORM_BOUND_CONSTANTS = UniformBoundConstants(
-    theta=THETA,
-    growth=4.0 * THETA * math.exp(1.5),
-    log_shift=-4.0 * math.log(2.0 * THETA),
+    theta=_THETA,
+    growth=4.0 * _THETA * math.exp(1.5),
+    log_shift=-4.0 * math.log(2.0 * _THETA),
 )
 
 

@@ -143,7 +143,8 @@ def _interior_root(piece: PowerPiece) -> float | None:
     """Unique root of ``c0 + c1 t**p`` strictly inside the piece, if any.
 
     Roots within BOUNDARY_ROOT_RTOL (relative) of either endpoint are
-    treated as boundary roots and excluded.
+    treated as boundary roots and excluded; an infinite right end is never
+    near a root.
     """
     if piece.c1 == 0.0 or piece.p == 0.0 or piece.c0 == 0.0:
         return None
@@ -161,7 +162,10 @@ def _interior_root(piece: PowerPiece) -> float | None:
         return None
     if root - piece.t_lo <= BOUNDARY_ROOT_RTOL * piece.t_lo:
         return None
-    if piece.t_hi - root <= BOUNDARY_ROOT_RTOL * piece.t_hi:
+    if (
+        math.isfinite(piece.t_hi)
+        and piece.t_hi - root <= BOUNDARY_ROOT_RTOL * piece.t_hi
+    ):
         return None
     return root
 

@@ -63,6 +63,11 @@ class _Collector:
     def bound(self, name: str, ok: bool, deficit: float = 0.0) -> None:
         self.entries.append((name, 0.0 if ok else 1.0 + abs(deficit)))
 
+    def truncation(self, name: str, value: float, reference: float) -> None:
+        """A bound check: ``reference`` is ``value`` truncated to 3 decimals."""
+        truncated = math.floor(value * 1000.0) / 1000.0
+        self.bound(name, truncated == reference, truncated - reference)
+
     def report(self, name: str, seed: int, tolerance: float = 1.0) -> CheckReport:
         worst = max((value for _, value in self.entries), default=0.0)
         ranked = sorted(self.entries, key=lambda item: -item[1])[:5]
@@ -394,27 +399,24 @@ def _suite_duality(seed: int) -> CheckReport:
     return collector.report("duality", seed, tolerance=1e-8)
 
 
+# The published table: b, d and W at the optimum, and the Gill bound, each
+# truncated (not rounded) to 3 decimals.
 _TABLE1 = {
-    1: (2.157, 6.623, 1.383),
-    2: (1.566, 3.284, 1.375),
-    3: (1.374, 2.400, 1.373),
-    4: (1.279, 2.003, 1.371),
+    1: (2.157, 6.623, 1.383, 1.282),
+    2: (1.566, 3.284, 1.375, 1.207),
+    3: (1.374, 2.400, 1.373, 1.163),
+    4: (1.279, 2.003, 1.371, 1.134),
 }
-_GILL = {1: 1.282, 2: 1.207, 3: 1.163, 4: 1.134}
 
 
 def _suite_table1(seed: int) -> CheckReport:
     collector = _Collector()
-    for m, (b_ref, d_ref, w_ref) in _TABLE1.items():
+    for m, (b_ref, d_ref, w_ref, gill_ref) in _TABLE1.items():
         record = optimize.maximize_W(m)
-        collector.metric(f"W optimum m={m}", record.value - w_ref, 0.002)
-        collector.metric(f"b optimum m={m}", record.b - b_ref, 0.05)
-        collector.metric(f"d optimum m={m}", record.d - d_ref, 0.05)
-        # the reference column is truncated to 3 decimals, not rounded
-        truncated = math.floor(gill_bound(m) * 1000.0) / 1000.0
-        collector.bound(
-            f"gill m={m}", truncated == _GILL[m], truncated - _GILL[m]
-        )
+        collector.truncation(f"W optimum m={m}", record.value, w_ref)
+        collector.truncation(f"b optimum m={m}", record.b, b_ref)
+        collector.truncation(f"d optimum m={m}", record.d, d_ref)
+        collector.truncation(f"gill m={m}", gill_bound(m), gill_ref)
     return collector.report("table1", seed)
 
 
@@ -469,9 +471,9 @@ def _suite_bound134(seed: int) -> CheckReport:
             f"bound polynomial positive at {quad_bound}", bool((values > 0.0).all())
         )
     constants = optimize.UNIFORM_BOUND_CONSTANTS
-    collector.metric("theta", constants.theta - 0.213, 5e-4)
-    collector.metric("growth constant", constants.growth - 3.819, 5e-4)
-    collector.metric("log shift constant", constants.log_shift - 3.412, 5e-4)
+    collector.truncation("theta", constants.theta, 0.213)
+    collector.truncation("growth constant", constants.growth, 3.819)
+    collector.truncation("log shift constant", constants.log_shift, 3.412)
     u_values = [optimize.u0(m) for m in range(4, 200)]
     collector.bound(
         "u0 in [1, 3] and decreasing",

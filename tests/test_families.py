@@ -31,6 +31,7 @@ from weaktype.families import (
     t_0_star,
     validate,
     validate_spec,
+    validate_star_spec,
 )
 from weaktype.operators import apply_closed_form, lambda_op, lambda_star_op
 from weaktype.piecewise import evaluate, sign_change_points
@@ -237,3 +238,19 @@ class TestValidate:
         # b**(-k) overflows there, so D is not computed; the near end fails
         with pytest.raises(ConstraintViolation, match=re.escape(name)):
             params(40, b, 0.5)
+
+    @pytest.mark.parametrize(
+        "params,validator,m,b,d,name",
+        [
+            (FSpecParams, validate_spec, 40, 1.03, 1e30, "d < d_max(b)"),
+            (FStarSpecParams, validate_star_spec, 8, 0.9, 1e-80, "d* > d*_min(b*)"),
+        ],
+    )
+    def test_d_far_beyond_its_range_rejected(self, params, validator, m, b, d, name):
+        # d**k overflows there, so the piece values at d are not computed; the
+        # diagnostics stop after the d-range, whose far end fails
+        diagnostics = validator(m, b, d)
+        assert [diag.name for diag in diagnostics if not diag.satisfied] == [name]
+        assert name in [diag.name for diag in diagnostics[-2:]]
+        with pytest.raises(ConstraintViolation, match=re.escape(name)):
+            params(m, b, d)

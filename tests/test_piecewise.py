@@ -140,6 +140,12 @@ class TestSignChanges:
     def test_boundary_root_excluded(self):
         assert sign_change_points(single(PowerPiece(1.0, 4.0, -1.0, 1.0, 1.0))) == []
 
+    def test_infinite_right_end_is_never_near_a_root(self):
+        # -1 + 4 t**-2 on (1, inf) vanishes at t = 2
+        assert sign_change_points(
+            single(PowerPiece(1.0, math.inf, -1.0, 4.0, -2.0))
+        ) == [2.0]
+
 
 EXPONENTS = sorted(
     {m / 2.0 for m in range(1, 11)}

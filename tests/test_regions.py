@@ -2,10 +2,12 @@
 replaced, kept here verbatim as a test-only reference.
 
 Every region field must agree bit for bit, and rejected pieces must raise the
-same exception with the same message.
+same exception with the same message.  The walker returns each region as a
+PowerPiece(lo, hi, C, A, q); the reference walkers return the record below.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from weaktype.families import (
 from weaktype.operators import (
     Kind,
     _negligible,
-    _Region,
     _regions,
     lambda_op,
     lambda_star_op,
@@ -29,6 +30,15 @@ from weaktype.piecewise import PiecewisePowerFunction, PowerPiece, power_integra
 
 
 # --- reference: the forward and adjoint walkers before they were merged ---------
+
+@dataclass(frozen=True)
+class _Region:
+    lo: float
+    hi: float  # math.inf for the forward tail
+    coeff: float  # A
+    q: float
+    const: float  # C
+
 
 def _ref_regions_lambda(op, f):
     m = op.m
@@ -140,16 +150,20 @@ def _ref_piece_extension_tail(pc, m, from_t):
 
 # --- comparison -------------------------------------------------------------------
 
+def _fields(region):
+    """(lo, hi, A, q, C) of a reference record or of a PowerPiece region."""
+    if isinstance(region, PowerPiece):
+        return region.t_lo, region.t_hi, region.c1, region.p, region.c0
+    return region.lo, region.hi, region.coeff, region.q, region.const
+
+
 def _outcome(walker, op, f):
     """Every region field as float hex (bitwise), or the exception raised."""
     try:
         regions = walker(op, f)
     except Exception as exc:  # the exception itself is the outcome
         return type(exc), str(exc)
-    return [
-        tuple(float(x).hex() for x in (r.lo, r.hi, r.coeff, r.q, r.const))
-        for r in regions
-    ]
+    return [tuple(float(x).hex() for x in _fields(r)) for r in regions]
 
 
 def _assert_same(op, f):
@@ -280,3 +294,29 @@ def test_arbitrary_exponents_at_the_origin():
                         float(rng.normal()), p),)
         )
         _both(m, f)
+
+
+@pytest.mark.parametrize("kind", ["forward", "adjoint"])
+def test_integrability_slack(kind):
+    # a piece exponent 1e-13 inside the edge q = -1 - k counts as on it; one
+    # 1e-9 inside passes the check
+    m = 3
+    op = lambda_op(m) if kind == "forward" else lambda_star_op(m)
+    q = -1.0 - op.k
+    inward = 1.0 if kind == "forward" else -1.0
+    message = "not integrable" if kind == "forward" else "not tail-integrable"
+
+    def walk(t_lo, p):
+        return _regions(op, PiecewisePowerFunction((PowerPiece(t_lo, 1.0, 0.0, 1.0, p),)))
+
+    for t_lo in (0.0, 0.5):
+        with pytest.raises(ValueError, match=message):
+            walk(t_lo, q + inward * 1e-13)
+    for t_lo in (0.0, 0.5):
+        p = q + inward * 1e-9
+        if kind == "forward" and t_lo == 0.0:
+            # no swept mass: the piece reduces to its own eigen-image
+            assert [r.p for r in walk(t_lo, p)] == [p, q]
+        else:
+            with pytest.raises(ValueError, match="two-term power expression"):
+                walk(t_lo, p)
