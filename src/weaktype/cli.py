@@ -126,16 +126,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _parse_m_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad m list {text!r}") from exc
-    if not values or any(m < 1 for m in values):
-        raise argparse.ArgumentTypeError("every m must be a positive integer")
-    return values
-
-
 def _int_in(name: str, lo: int, hi: int):
     """An argparse type: an integer in [lo, hi]."""
 
@@ -151,6 +141,17 @@ def _int_in(name: str, lo: int, hi: int):
         return value
 
     return parse
+
+
+_parse_m = _int_in("m", 1, 1_000_000)
+
+
+def _parse_m_list(text: str) -> list[int]:
+    """An argparse type: a comma-separated list of m in [1, 1_000_000]."""
+    values = [_parse_m(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"bad m list {text!r}")
+    return values
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table1)
 
     p_curves = sub.add_parser("curves", help="export the optimal-curve data for one m")
-    p_curves.add_argument("--m", type=_int_in("m", 1, 1_000_000), default=1)
+    p_curves.add_argument("--m", type=_parse_m, default=1)
     p_curves.add_argument("--samples", type=_int_in("samples", 2, 100_000), default=100)
     _add_output_flags(p_curves)
     p_curves.set_defaults(func=cmd_curves)

@@ -52,7 +52,6 @@ __all__ = [
     "build_general_star",
     "build_spec",
     "build_star_spec",
-    "validate",
     "validate_general",
     "validate_spec",
     "validate_star_spec",
@@ -131,11 +130,10 @@ def _build(k: float, plus, minus, coeff_plus: float, coeff_minus: float):
     """(1+k)/k + coeff_plus t^k on the interval ``plus`` against
     -(1+k)/k + coeff_minus t^k on ``minus``, pieces in increasing t."""
     const = (1.0 + k) / k
-    pieces = (
+    return PiecewisePowerFunction((
         PowerPiece(*sorted(plus), const, coeff_plus, k),
         PowerPiece(*sorted(minus), -const, coeff_minus, k),
-    )
-    return PiecewisePowerFunction(tuple(sorted(pieces, key=lambda pc: pc.t_lo)))
+    ))
 
 
 # --- boundary functions ------------------------------------------------------
@@ -207,40 +205,44 @@ def star_spec_D(b_star: float, m: int) -> float:
 
 # --- parameter types ---------------------------------------------------------
 
+def _validate_chain(
+    m: int, names: tuple[str, ...], x0: float, x1: float, x2: float, x3: float
+) -> list[ConstraintDiagnostic]:
+    """Slack of the ordering chain 0 < x0 < x1 <= x2 < x3 over the ascending
+    endpoints of a general family."""
+    _check_m(m)
+    n0, n1, n2, n3 = names
+    return [
+        ConstraintDiagnostic(n0, x0, x0 > 0.0),
+        ConstraintDiagnostic(n1, x1 - x0, x1 > x0),
+        ConstraintDiagnostic(n2, x2 - x1, x2 >= x1),
+        ConstraintDiagnostic(n3, x3 - x2, x3 > x2),
+    ]
+
+
 def validate_general(
     m: int, a: float, b: float, c: float, d: float
 ) -> list[ConstraintDiagnostic]:
     """Slack of every ordering constraint of the general family."""
-    _check_m(m)
-    return [
-        ConstraintDiagnostic("a > 0", a, a > 0.0),
-        ConstraintDiagnostic("b > a", b - a, b > a),
-        ConstraintDiagnostic("c >= b", c - b, c >= b),
-        ConstraintDiagnostic("d > c", d - c, d > c),
-    ]
+    return _validate_chain(m, ("a > 0", "b > a", "c >= b", "d > c"), a, b, c, d)
 
 
 def _validate_general_star(
     m: int, a_star: float, b_star: float, c_star: float, d_star: float
 ) -> list[ConstraintDiagnostic]:
-    _check_m(m)
-    return [
-        ConstraintDiagnostic("d* > 0", d_star, d_star > 0.0),
-        ConstraintDiagnostic("c* > d*", c_star - d_star, c_star > d_star),
-        ConstraintDiagnostic("b* >= c*", b_star - c_star, b_star >= c_star),
-        ConstraintDiagnostic("a* > b*", a_star - b_star, a_star > b_star),
-    ]
+    """The same chain over the ascending adjoint endpoints (d*, c*, b*, a*)."""
+    names = ("d* > 0", "c* > d*", "b* >= c*", "a* > b*")
+    return _validate_chain(m, names, d_star, c_star, b_star, a_star)
 
 
-# Restricted-family constraint names per direction, in the forward order; the
-# near end of the b-range has a name for the closure and one for the open region.
+# Restricted-family constraint names per direction, in the forward order.
 _SPEC_NAMES = (
-    "b > 0", "d > 0", "b >= b_min", "b > b_min", "b < b_max", "D(b, m) > 0",
+    "b > 0", "d > 0", "b > b_min", "b < b_max", "D(b, m) > 0",
     "d > d_min(b)", "d < d_max(b)", "second piece negative at b",
     "second piece positive at d", "second piece below 2 at d",
 )
 _STAR_SPEC_NAMES = (
-    "b* > 0", "d* > 0", "b* <= b*_max", "b* < b*_max", "b* > b*_min",
+    "b* > 0", "d* > 0", "b* < b*_max", "b* > b*_min",
     "D*(b*, m) > 0", "d* < d*_max(b*)", "d* > d*_min(b*)",
     "inner piece negative at b*", "inner piece positive at d*",
     "inner piece below 2 at d*",
@@ -248,29 +250,25 @@ _STAR_SPEC_NAMES = (
 
 
 def _validate_restricted(
-    k: float, b: float, d: float, closure: bool, names: tuple[str, ...]
+    k: float, b: float, d: float, names: tuple[str, ...]
 ) -> list[ConstraintDiagnostic]:
     """Slack of every restricted-family constraint at (b, d), in the kernel
     exponent k; the orientation turns each forward slack into its mirror."""
 
-    def diag(name: str, slack: float, relaxable: bool = True):
-        ok = slack >= 0.0 if closure and relaxable else slack > 0.0
-        return ConstraintDiagnostic(name, slack, ok)
+    def diag(name: str, slack: float):
+        return ConstraintDiagnostic(name, slack, slack > 0.0)
 
-    pos_b, pos_d, near_closed, near_open, far, coeff, *pieces = names
-    out = [diag(pos_b, b, False), diag(pos_d, d, False)]
+    pos_b, pos_d, near, far, coeff, *pieces = names
+    out = [diag(pos_b, b), diag(pos_d, d)]
     if b <= 0.0 or d <= 0.0:
         return out
     s = _orientation(k)
-    out += [
-        diag(near_closed if closure else near_open, s * (b - _b_near(k))),
-        diag(far, s * (_b_far(k) - b), False),
-    ]
+    out += [diag(near, s * (b - _b_near(k))), diag(far, s * (_b_far(k) - b))]
     try:
         dd = _spec_D(b, k)
     except OverflowError:  # b**(-k) overflows only far beyond the near end
         return out
-    out.append(diag(coeff, dd, False))
+    out.append(diag(coeff, dd))
     if dd <= 0.0:
         return out
     d_range = (s * (d - _t_0(b, k)), s * (_d_far(b, k) - d))
@@ -286,29 +284,23 @@ def _validate_restricted(
     return out + [diag(name, slack) for name, slack in zip(pieces[2:], slacks)]
 
 
-def validate_spec(
-    m: int, b: float, d: float, closure: bool = False
-) -> list[ConstraintDiagnostic]:
+def validate_spec(m: int, b: float, d: float) -> list[ConstraintDiagnostic]:
     """Slack of every restricted-family constraint at (b, d).
 
     The derived interval constraints are canonical; the raw inequality chain
-    on the second piece is kept as a redundant cross-check.  With ``closure``
-    the relaxable inequalities become non-strict (the region's closure), but
-    the far end of the b-range and the coefficient positivity stay strict.
+    on the second piece is kept as a redundant cross-check.
     """
     _check_m(m)
-    return _validate_restricted(m / 2.0, b, d, closure, _SPEC_NAMES)
+    return _validate_restricted(m / 2.0, b, d, _SPEC_NAMES)
 
 
 def validate_star_spec(
-    m: int, b_star: float, d_star: float, closure: bool = False
+    m: int, b_star: float, d_star: float
 ) -> list[ConstraintDiagnostic]:
     """Adjoint counterpart of validate_spec at (b*, d*): the same constraints
     at k = -1 - m/2, named for the mirrored intervals."""
     _check_m(m)
-    return _validate_restricted(
-        -1.0 - m / 2.0, b_star, d_star, closure, _STAR_SPEC_NAMES
-    )
+    return _validate_restricted(-1.0 - m / 2.0, b_star, d_star, _STAR_SPEC_NAMES)
 
 
 def _raise_on_failure(diagnostics) -> None:
@@ -356,19 +348,14 @@ class GeneralStarFamilyParams:
 
 @dataclass(frozen=True)
 class FSpecParams:
-    """A point (b, d) of the restricted feasible region for parameter m.
-
-    The region is open; pass ``closure=True`` to admit boundary points, which
-    the ratio functionals extend to continuously.
-    """
+    """A point (b, d) of the open restricted feasible region for parameter m."""
 
     m: int
     b: float
     d: float
-    closure: bool = False
 
     def __post_init__(self) -> None:
-        _raise_on_failure(validate_spec(self.m, self.b, self.d, self.closure))
+        _raise_on_failure(validate_spec(self.m, self.b, self.d))
 
 
 @dataclass(frozen=True)
@@ -378,29 +365,9 @@ class FStarSpecParams:
     m: int
     b_star: float
     d_star: float
-    closure: bool = False
 
     def __post_init__(self) -> None:
-        _raise_on_failure(
-            validate_star_spec(self.m, self.b_star, self.d_star, self.closure)
-        )
-
-
-def validate(params) -> list[ConstraintDiagnostic]:
-    """Signed slack of every feasibility inequality for the given parameters."""
-    if isinstance(params, GeneralFamilyParams):
-        return validate_general(params.m, params.a, params.b, params.c, params.d)
-    if isinstance(params, GeneralStarFamilyParams):
-        return _validate_general_star(
-            params.m, params.a_star, params.b_star, params.c_star, params.d_star
-        )
-    if isinstance(params, FSpecParams):
-        return validate_spec(params.m, params.b, params.d, params.closure)
-    if isinstance(params, FStarSpecParams):
-        return validate_star_spec(
-            params.m, params.b_star, params.d_star, params.closure
-        )
-    raise TypeError(f"unsupported parameter type {type(params)!r}")
+        _raise_on_failure(validate_star_spec(self.m, self.b_star, self.d_star))
 
 
 # --- constructors -------------------------------------------------------------

@@ -295,9 +295,10 @@ def _region_intervals(
     crossings: list[float] = []
     for target in (thr, -thr):
         # A crossing of target needs the power term to bridge the gap
-        # between the constant and the target; a sub-slack gap is a
-        # plateau sitting on the threshold, not a crossing.
-        if abs(target - region.c0) <= slack:
+        # between the constant and the target; a region without one, or
+        # with a sub-slack gap (a plateau sitting on the threshold), has
+        # no crossing.
+        if region.c1 == 0.0 or abs(target - region.c0) <= slack:
             continue
         shifted = PowerPiece(
             region.t_lo, region.t_hi, region.c0 - target, region.c1, region.p

@@ -131,8 +131,9 @@ def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
         return np.where(feasible, (d - 1.0) / denominator, -math.inf)
 
 
-def maximize_W(m: int, grid_resolution: int = 64) -> OptimumRecord:
-    """Grid over the feasible region mapped to the unit square, then Nelder-Mead.
+def maximize_W(m: int) -> OptimumRecord:
+    """64 x 64 grid over the feasible region mapped to the unit square, then
+    Nelder-Mead.
 
     The grid is evaluated as one array; ties on it break toward smaller b,
     then smaller d, and the winning cell is evaluated again by scalar W.  The
@@ -141,9 +142,6 @@ def maximize_W(m: int, grid_resolution: int = 64) -> OptimumRecord:
     grid cell and every Nelder-Mead evaluation.  Deterministic for fixed
     inputs; raises ConvergenceError when Nelder-Mead does not converge.
     """
-    if grid_resolution < 2:
-        raise ValueError(f"grid_resolution must be at least 2, got {grid_resolution}")
-
     def bd_of(u: float, v: float) -> tuple[float, float]:
         return _feasibility_map(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
 
@@ -154,9 +152,9 @@ def maximize_W(m: int, grid_resolution: int = 64) -> OptimumRecord:
         except functionals.DenominatorError:
             return -math.inf
 
-    ticks = np.linspace(0.0, 1.0, grid_resolution)
+    ticks = np.linspace(0.0, 1.0, 64)
     row, col = np.unravel_index(
-        int(np.argmax(_grid_values(m, ticks))), (grid_resolution, grid_resolution)
+        int(np.argmax(_grid_values(m, ticks))), (ticks.size, ticks.size)
     )
     # numpy's array pow may differ from libm's in the last bit, so the
     # fallback below compares against the scalar value of the winning cell
@@ -172,7 +170,7 @@ def maximize_W(m: int, grid_resolution: int = 64) -> OptimumRecord:
         raise ConvergenceError(
             f"Nelder-Mead did not converge for m={m}: {result.message}"
         )
-    evaluations = grid_resolution ** 2 + result.nfev
+    evaluations = ticks.size ** 2 + result.nfev
     u_best, v_best = result.x
     b, d = bd_of(u_best, v_best)
     final = W(b, d, m)

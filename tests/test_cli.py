@@ -36,6 +36,13 @@ def usage_error(capsys, args):
     return captured.err
 
 
+def assert_one_line_usage_error(capsys, args, message):
+    err = usage_error(capsys, args)
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(message)
+
+
 class TestOutputConfig:
     def test_precision_range(self, capsys):
         for precision in ("2", "18"):
@@ -83,9 +90,12 @@ class TestTable1:
         assert payload[0]["W"] == pytest.approx(1.375, abs=2e-3)
 
     def test_bad_m_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--m", "0"])
-        assert excinfo.value.code == 2
+        # each element is bounded as curves bounds its one m
+        for m_list, bad in (("0", "0"), ("1,1000001", "1000001")):
+            assert_one_line_usage_error(
+                capsys, ["table1", "--m", m_list],
+                f"m must be in [1, 1000000], got {bad}",
+            )
 
 
 class TestCurves:
@@ -111,25 +121,18 @@ class TestCurves:
         _, rows = parse_csv(out)
         assert float(rows[-1][0]) == pytest.approx(7.0 ** (2.0 / 3.0), rel=1e-8)
 
-    @staticmethod
-    def _assert_one_line_usage_error(capsys, args, message):
-        err = usage_error(capsys, ["curves", *args])
-        assert "Traceback" not in err
-        (line,) = [line for line in err.splitlines() if "error:" in line]
-        assert line.endswith(message)
-
     def test_bad_samples_rejected(self, capsys):
         # rejected by argparse before numpy is asked for the array
         for samples in ("1", "100000000000"):
-            self._assert_one_line_usage_error(
-                capsys, ["--m", "2", "--samples", samples],
+            assert_one_line_usage_error(
+                capsys, ["curves", "--m", "2", "--samples", samples],
                 f"samples must be in [2, 100000], got {samples}",
             )
 
     def test_bad_m_rejected(self, capsys):
         for m in ("0", "1000001"):
-            self._assert_one_line_usage_error(
-                capsys, ["--m", m], f"m must be in [1, 1000000], got {m}"
+            assert_one_line_usage_error(
+                capsys, ["curves", "--m", m], f"m must be in [1, 1000000], got {m}"
             )
 
 

@@ -29,7 +29,6 @@ from weaktype.families import (
     star_spec_D,
     t_0,
     t_0_star,
-    validate,
     validate_spec,
     validate_star_spec,
 )
@@ -100,7 +99,7 @@ class TestBuildGeneralStar:
             GeneralStarFamilyParams(1, 1.0, 0.6, 0.5, 0.0)
 
     def test_validate_accepts_params(self):
-        diagnostics = validate(GeneralStarFamilyParams(2, 1.0, 0.8, 0.6, 0.3))
+        diagnostics = families._validate_general_star(2, 1.0, 0.8, 0.6, 0.3)
         assert [diag.name for diag in diagnostics] == [
             "d* > 0", "c* > d*", "b* >= c*", "a* > b*"
         ]
@@ -128,14 +127,6 @@ class TestBuildSpec:
         with pytest.raises(ConstraintViolation):
             FSpecParams(1, 1.0, 2.0)
 
-    def test_closure_admits_boundary(self):
-        m = 3
-        b = b_min(m)
-        with pytest.raises(ConstraintViolation):
-            FSpecParams(m, b, 0.5 * (d_min(b, m) + d_max(b, m)) , False)
-        params = FSpecParams(m, b, 0.5 * (d_min(b, m) + d_max(b, m)), closure=True)
-        assert params.b == b
-
 
 class TestBuildStarSpec:
     def test_near_optimal_adjoint_point(self):
@@ -157,8 +148,7 @@ class TestBuildStarSpec:
         m = 3
         bs = 0.5 * (b_star_min(m) + b_star_max(m))
         ds = 0.5 * (d_star_min(bs, m) + d_star_max(bs, m))
-        params = FStarSpecParams(m, bs, ds)
-        assert all(diag.satisfied for diag in validate(params))
+        assert all(diag.satisfied for diag in validate_star_spec(m, bs, ds))
 
 
 class TestBoundaries:
@@ -197,7 +187,7 @@ class TestBoundaries:
 
 class TestValidate:
     def test_feasible_point_all_positive(self):
-        diagnostics = validate(FSpecParams(1, 2.157, 6.623))
+        diagnostics = validate_spec(1, 2.157, 6.623)
         assert all(diag.satisfied for diag in diagnostics)
         assert all(diag.slack > 0 for diag in diagnostics)
 
@@ -210,10 +200,6 @@ class TestValidate:
         diagnostics = validate_spec(2, 1.566, d_max(1.566, 2) * 1.01)
         failing = [diag.name for diag in diagnostics if not diag.satisfied]
         assert "d < d_max(b)" in failing
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            validate(object())
 
     @pytest.mark.parametrize("m", [np.int64(3), True, 2.0, 0])
     @pytest.mark.parametrize(

@@ -4,9 +4,7 @@ test-only reference.
 
 apply_closed_form, apply_quadrature_oracle and eigenvalue must agree bit for
 bit in both directions, and forward eigen_check too.  The forward restricted
-diagnostics must agree as float hex.  The adjoint verdicts must agree except
-at the corner b* = b*_max, d* = t_0*(b*_max) under closure, where the
-reference also rejected through its b* > d* check.
+diagnostics must agree as float hex, and the adjoint verdicts must agree.
 """
 
 import numpy as np
@@ -15,6 +13,7 @@ import pytest
 from weaktype import families
 from weaktype.families import (
     ConstraintDiagnostic,
+    ConstraintViolation,
     FSpecParams,
     FStarSpecParams,
     GeneralFamilyParams,
@@ -342,40 +341,25 @@ def _verdict(diagnostics):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("closure", [False, True])
-def test_forward_diagnostics_match_as_hex(seed, closure):
+def test_forward_diagnostics_match_as_hex(seed):
     for m, b, d in _validator_points(seed, forward=True):
-        assert _listing(families.validate_spec(m, b, d, closure)) == _listing(
-            _ref_validate_spec(m, b, d, closure)
+        assert _listing(families.validate_spec(m, b, d)) == _listing(
+            _ref_validate_spec(m, b, d)
         )
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("closure", [False, True])
-def test_adjoint_verdicts_match(seed, closure):
+def test_adjoint_verdicts_match(seed):
     for m, b, d in _validator_points(seed, forward=False):
-        corner = (closure and b == families.b_star_max(m)
-                  and d == families.t_0_star(b, m))
-        verdict = _verdict(families.validate_star_spec(m, b, d, closure))
-        reference = _verdict(_ref_validate_star_spec(m, b, d, closure))
-        assert verdict == reference or corner
+        verdict = _verdict(families.validate_star_spec(m, b, d))
+        assert verdict == _verdict(_ref_validate_star_spec(m, b, d))
 
 
 def test_adjoint_corner_rejected_by_the_builder():
-    # where the verdict moved, only the reference's b* > d* check failed, and
-    # the params now construct while the builder rejects the empty piece
-    moved = 0
+    # at b* = b*_max, d* = t_0*(b*_max) the inner piece is empty; the open
+    # region excludes the corner, so the params reject it before the builder
     for m in range(1, 41):
         b = families.b_star_max(m)
         d = families.t_0_star(b, m)
-        if _verdict(families.validate_star_spec(m, b, d, True)) == _verdict(
-            _ref_validate_star_spec(m, b, d, True)
-        ):
-            continue
-        moved += 1
-        failing = [diag.name for diag in _ref_validate_star_spec(m, b, d, True)
-                   if not diag.satisfied]
-        assert failing == ["b* > d*"]
-        with pytest.raises(ValueError, match="piece requires"):
-            build_star_spec(FStarSpecParams(m, b, d, closure=True))
-    assert moved > 0
+        with pytest.raises(ConstraintViolation, match=r"b\* < b\*_max"):
+            build_star_spec(FStarSpecParams(m, b, d))
