@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["all"],
         help=f"comma-separated suite names (default all): {', '.join(verify.SUITE_NAMES)}",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_in("seed", 0, 2**63 - 1), default=0)
     _add_output_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -43,16 +43,10 @@ __all__ = [
     "t_0_star",
     "d_star_min",
     "d_star_max",
-    "general_B",
-    "general_D",
-    "general_D_star",
-    "spec_D",
-    "star_spec_D",
     "build_general",
     "build_general_star",
     "build_spec",
     "build_star_spec",
-    "validate_general",
     "validate_spec",
     "validate_star_spec",
 ]
@@ -180,29 +174,6 @@ def d_star_min(b_star: float, m: int) -> float:
     return _d_far(b_star, -1.0 - m / 2.0)
 
 
-# --- coefficients ------------------------------------------------------------
-
-def general_B(a: float, m: int) -> float:
-    return _general_B(a, m / 2.0)
-
-
-def general_D(a: float, b: float, c: float, m: int) -> float:
-    return _general_D(a, b, c, m / 2.0)
-
-
-def general_D_star(a_star: float, b_star: float, c_star: float, m: int) -> float:
-    """Coefficient of the inner adjoint piece: the adjoint twin of general_D."""
-    return _general_D(a_star, b_star, c_star, -1.0 - m / 2.0)
-
-
-def spec_D(b: float, m: int) -> float:
-    return _spec_D(b, m / 2.0)
-
-
-def star_spec_D(b_star: float, m: int) -> float:
-    return _spec_D(b_star, -1.0 - m / 2.0)
-
-
 # --- parameter types ---------------------------------------------------------
 
 def _validate_chain(
@@ -220,19 +191,10 @@ def _validate_chain(
     ]
 
 
-def validate_general(
-    m: int, a: float, b: float, c: float, d: float
-) -> list[ConstraintDiagnostic]:
-    """Slack of every ordering constraint of the general family."""
-    return _validate_chain(m, ("a > 0", "b > a", "c >= b", "d > c"), a, b, c, d)
-
-
-def _validate_general_star(
-    m: int, a_star: float, b_star: float, c_star: float, d_star: float
-) -> list[ConstraintDiagnostic]:
-    """The same chain over the ascending adjoint endpoints (d*, c*, b*, a*)."""
-    names = ("d* > 0", "c* > d*", "b* >= c*", "a* > b*")
-    return _validate_chain(m, names, d_star, c_star, b_star, a_star)
+# General-family ordering names over the ascending endpoints: (a, b, c, d)
+# forward, (d*, c*, b*, a*) for the adjoint.
+_GENERAL_NAMES = ("a > 0", "b > a", "c >= b", "d > c")
+_GENERAL_STAR_NAMES = ("d* > 0", "c* > d*", "b* >= c*", "a* > b*")
 
 
 # Restricted-family constraint names per direction, in the forward order.
@@ -322,7 +284,9 @@ class GeneralFamilyParams:
     d: float
 
     def __post_init__(self) -> None:
-        _raise_on_failure(validate_general(self.m, self.a, self.b, self.c, self.d))
+        _raise_on_failure(_validate_chain(
+            self.m, _GENERAL_NAMES, self.a, self.b, self.c, self.d
+        ))
 
 
 @dataclass(frozen=True)
@@ -339,11 +303,10 @@ class GeneralStarFamilyParams:
     d_star: float
 
     def __post_init__(self) -> None:
-        _raise_on_failure(
-            _validate_general_star(
-                self.m, self.a_star, self.b_star, self.c_star, self.d_star
-            )
-        )
+        _raise_on_failure(_validate_chain(
+            self.m, _GENERAL_STAR_NAMES,
+            self.d_star, self.c_star, self.b_star, self.a_star,
+        ))
 
 
 @dataclass(frozen=True)

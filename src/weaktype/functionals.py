@@ -68,7 +68,7 @@ class RatioReport:
 
     @classmethod
     def from_parts(cls, numerator: float, denominator: float) -> "RatioReport":
-        if denominator <= 0.0:
+        if not denominator > 0.0:
             raise DenominatorError(f"denominator must be positive, got {denominator}")
         return cls(numerator, denominator, numerator / denominator)
 
@@ -92,7 +92,7 @@ def _w_denominator(b, d, k: float):
 
 def _W(b: float, d: float, k: float, denominator: float) -> float:
     """|d - 1| over the restricted L1 norm ``denominator`` at kernel exponent k."""
-    if denominator <= 0.0:
+    if not denominator > 0.0:
         raise DenominatorError(
             f"nonpositive denominator {denominator} at (b={b}, d={d}, k={k})"
         )
@@ -129,7 +129,7 @@ def gill_bound(m: float) -> float:
 
     Defined for real m > 0; tends to 1/ln 2 as m -> 0+ and to 1 as m -> inf.
     """
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
     root = 2.0 ** (2.0 / (2.0 + m))
     return m * root / ((2.0 + m) * (2.0 - root))

@@ -128,7 +128,7 @@ def _integration(op: OperatorKind, f: PiecewisePowerFunction, t: float):
     The prefactor is (1+2k) t**(-1-k) signed by the orientation of the
     integral (0 up to t, or infinity down to t), so it is positive.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     k = op.k
     if op.kind is Kind.LAMBDA:
@@ -164,7 +164,7 @@ def apply_quadrature_oracle(
     from scipy.integrate import quad
 
     lo, hi, prefactor = _integration(op, f, t)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if lo >= hi or prefactor == 0.0:
         # an underflowed prefactor leaves no integral term to check
@@ -367,7 +367,7 @@ def superlevel_measure(
     ``certify`` is False.  Adjacent intervals meeting at region boundaries
     are merged.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     if not f.pieces:
         return SuperlevelResult(0.0, ())

@@ -21,6 +21,7 @@ from scipy.optimize import bisect, minimize
 from . import families, functionals
 from .families import FSpecParams
 from .functionals import LOG_2, LOG_32, W, W_star
+from .operators import _check_m
 
 __all__ = [
     "ConvergenceError",
@@ -142,6 +143,8 @@ def maximize_W(m: int) -> OptimumRecord:
     grid cell and every Nelder-Mead evaluation.  Deterministic for fixed
     inputs; raises ConvergenceError when Nelder-Mead does not converge.
     """
+    _check_m(m)
+
     def bd_of(u: float, v: float) -> tuple[float, float]:
         return _feasibility_map(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
 
@@ -203,6 +206,7 @@ def d_opt(b: float, m: int) -> float:
     Explicit solution of the stationarity equation of the restricted ratio in
     b at fixed d; always lies in [d_min(b), d_max(b)].
     """
+    _check_m(m)
     return _d_opt(b, m / 2.0)
 
 
@@ -218,6 +222,7 @@ def d_star_opt(b_star: float, m: int) -> float:
     For m = 1 and b* below the adjoint split point the value drops below
     d*_min(b*); the defining equation is unchanged.
     """
+    _check_m(m)
     return _d_opt(b_star, -1.0 - m / 2.0)
 
 
@@ -228,10 +233,11 @@ def duality_map(b: float, m: int) -> DualityRecord:
     adjoint ratio on its optimal curve at b* equals the forward ratio on its
     optimal curve at b.
     """
-    d_at = d_opt(b, m)
+    _check_m(m)
+    d_at = _d_opt(b, m / 2.0)
     b_star = families.t_0(b, m) / d_at
     t0_star_residual = abs(families.t_0_star(b_star, m) - b / d_at)
-    d_star_at = d_star_opt(b_star, m)
+    d_star_at = _d_opt(b_star, -1.0 - m / 2.0)
     d_star_opt_residual = abs(d_star_at - 1.0 / d_at)
     w_residual = abs(W_star(b_star, d_star_at, m) - W(b, d_at, m))
     return DualityRecord(
@@ -242,17 +248,19 @@ def duality_map(b: float, m: int) -> DualityRecord:
 def maximize_on_curve(m: int) -> OptimumRecord:
     """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end, then
     golden-section."""
+    _check_m(m)
+    k = m / 2.0
     evaluations = 0
 
     def value(b: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return W(b, d_opt(b, m), m)
+        return W(b, _d_opt(b, k), m)
 
     b_best, best = _scan_then_refine(
         value, families.b_min(m), _curve_scan_end(m), 400
     )
-    return OptimumRecord(m, b_best, d_opt(b_best, m), best, evaluations)
+    return OptimumRecord(m, b_best, _d_opt(b_best, k), best, evaluations)
 
 
 def x_infinity(tol: float) -> float:
@@ -263,7 +271,7 @@ def x_infinity(tol: float) -> float:
     sampled differences.  Bisection stops at bracket width min(tol, 1e-13),
     floored at 1e-15, so every tol >= 1e-13 gives the same root.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     def h(x: float) -> float:
@@ -347,6 +355,7 @@ def bound_134(m_values) -> list[UniformBoundRecord]:
     """
     out = []
     for m in m_values:
+        _check_m(m)
         feasible = True
         try:
             FSpecParams(m, math.exp(1.0 / m), math.exp(3.0 / m))

@@ -19,9 +19,7 @@ __all__ = [
     "evaluate",
     "moment_integral",
     "l1_norm",
-    "sign_change_points",
     "dilate",
-    "power_integral",
 ]
 
 # |exponent + 1| below this uses the logarithmic antiderivative branch.
@@ -88,7 +86,7 @@ def evaluate(f: PiecewisePowerFunction, t: float) -> float:
     A shared endpoint belongs to the piece on its left, per the half-open
     ``(t_lo, t_hi]`` convention.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     for piece in f.pieces:
         if piece.contains(t):
@@ -96,7 +94,7 @@ def evaluate(f: PiecewisePowerFunction, t: float) -> float:
     return 0.0
 
 
-def power_integral(exponent: float, lo: float, hi: float) -> float:
+def _power_integral(exponent: float, lo: float, hi: float) -> float:
     """Closed-form ``\\int_lo^hi t**exponent dt`` with the log branch at -1."""
     if not (0.0 <= lo < hi):
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
@@ -116,9 +114,9 @@ def _piece_moment(piece: PowerPiece, weight: float, lo: float, hi: float) -> flo
     """``\\int_lo^hi (c0 + c1 t**p) t**weight dt`` for ``[lo, hi]`` inside the piece."""
     total = 0.0
     if piece.c0 != 0.0:
-        total += piece.c0 * power_integral(weight, lo, hi)
+        total += piece.c0 * _power_integral(weight, lo, hi)
     if piece.c1 != 0.0:
-        total += piece.c1 * power_integral(piece.p + weight, lo, hi)
+        total += piece.c1 * _power_integral(piece.p + weight, lo, hi)
     return total
 
 
@@ -170,16 +168,6 @@ def _interior_root(piece: PowerPiece) -> float | None:
     return root
 
 
-def sign_change_points(f: PiecewisePowerFunction) -> list[float]:
-    """All interior roots of the pieces, in closed form, sorted ascending."""
-    roots = []
-    for piece in f.pieces:
-        root = _interior_root(piece)
-        if root is not None:
-            roots.append(root)
-    return sorted(roots)
-
-
 def l1_norm(f: PiecewisePowerFunction) -> float:
     """Exact L1 norm: split each piece at its sign change and add |integrals|."""
     total = 0.0
@@ -196,7 +184,7 @@ def l1_norm(f: PiecewisePowerFunction) -> float:
 
 def dilate(f: PiecewisePowerFunction, lam: float) -> PiecewisePowerFunction:
     """The dilated function ``t -> f(t / lam)`` for ``lam > 0``."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"dilation factor must be positive, got {lam}")
     pieces = tuple(
         PowerPiece(lam * pc.t_lo, lam * pc.t_hi, pc.c0, pc.c1 * lam ** (-pc.p), pc.p)

@@ -177,6 +177,16 @@ class TestVerify:
             assert captured.out == ""  # rejected before any suite ran
             assert "nope" in captured.err
 
+    @pytest.mark.parametrize(
+        "args", [["--seed", "-1"], ["--seed", "-1", "--suites", "eigen"]]
+    )
+    def test_negative_seed_rejected(self, capsys, args):
+        # rejected by argparse, also when no seeded suite would run
+        assert_one_line_usage_error(
+            capsys, ["verify", *args],
+            f"seed must be in [0, {2**63 - 1}], got -1",
+        )
+
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         def failing(seed):
             return CheckReport("eigen", Status.FAIL, 1.0, 0.5, seed, ())

@@ -25,15 +25,13 @@ from weaktype.families import (
     d_min,
     d_star_max,
     d_star_min,
-    spec_D,
-    star_spec_D,
     t_0,
     t_0_star,
     validate_spec,
     validate_star_spec,
 )
 from weaktype.operators import apply_closed_form, lambda_op, lambda_star_op
-from weaktype.piecewise import evaluate, sign_change_points
+from weaktype.piecewise import _interior_root, evaluate
 
 
 class TestBuildGeneral:
@@ -53,7 +51,7 @@ class TestBuildGeneral:
             assert apply_closed_form(op, f, float(t)) == pytest.approx(1.0, abs=1e-9)
 
     def test_leading_coefficient_at_unit_scale(self):
-        assert families.general_B(1.0, 3) == pytest.approx(-2.0 * 4.0 / 3.0)
+        assert families._general_B(1.0, 3 / 2.0) == pytest.approx(-2.0 * 4.0 / 3.0)
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ConstraintViolation):
@@ -82,10 +80,10 @@ class TestBuildGeneralStar:
             assert apply_closed_form(op, f, float(t)) == pytest.approx(1.0, abs=1e-9)
 
     def test_coefficient_at_unit_scale_without_gap(self):
-        # a* = 1, c* = b*: the inner coefficient is the restricted star_spec_D
-        m, bs = 3, 0.7
-        assert families.general_D_star(1.0, bs, bs, m) == pytest.approx(
-            star_spec_D(bs, m), rel=1e-13
+        # a* = 1, c* = b*: the inner coefficient is the restricted one
+        k, bs = -1.0 - 3 / 2.0, 0.7
+        assert families._general_D(1.0, bs, bs, k) == pytest.approx(
+            families._spec_D(bs, k), rel=1e-13
         )
 
     def test_bad_ordering_rejected(self):
@@ -99,7 +97,9 @@ class TestBuildGeneralStar:
             GeneralStarFamilyParams(1, 1.0, 0.6, 0.5, 0.0)
 
     def test_validate_accepts_params(self):
-        diagnostics = families._validate_general_star(2, 1.0, 0.8, 0.6, 0.3)
+        diagnostics = families._validate_chain(
+            2, families._GENERAL_STAR_NAMES, 0.3, 0.6, 0.8, 1.0
+        )
         assert [diag.name for diag in diagnostics] == [
             "d* > 0", "c* > d*", "b* >= c*", "a* > b*"
         ]
@@ -113,14 +113,16 @@ class TestBuildSpec:
     )
     def test_sign_change_matches_reference(self, m, b, d, root):
         f = build_spec(FSpecParams(m, b, d))
-        (found,) = sign_change_points(f)
+        first, second = f.pieces
+        assert _interior_root(first) is None
+        found = _interior_root(second)
         assert found == pytest.approx(root, abs=1e-5)
         assert found == pytest.approx(t_0(b, m), rel=1e-13)
 
     def test_second_piece_vanishes_at_b_min(self):
         m = 2
         b = b_min(m) * (1.0 + 1e-11)
-        value = -(2.0 + m) / m + spec_D(b, m) * b ** (m / 2.0)
+        value = -(2.0 + m) / m + families._spec_D(b, m / 2.0) * b ** (m / 2.0)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_rejected(self):
@@ -141,7 +143,8 @@ class TestBuildStarSpec:
     def test_inner_piece_vanishes_at_b_star_max(self):
         m = 2
         bs = b_star_max(m) * (1.0 - 1e-11)
-        value = -m / (2.0 + m) + star_spec_D(bs, m) * bs ** (-1.0 - m / 2.0)
+        k = -1.0 - m / 2.0
+        value = -m / (2.0 + m) + families._spec_D(bs, k) * bs ** k
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_midpoint_parameters_feasible(self):

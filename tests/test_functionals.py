@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weaktype import operators, optimize
+from weaktype import families, operators, optimize
 from weaktype.families import (
     ConstraintViolation,
     FSpecParams,
@@ -17,7 +17,6 @@ from weaktype.families import (
     build_star_spec,
     d_max,
     d_min,
-    general_D,
     t_0,
 )
 from weaktype.functionals import (
@@ -25,6 +24,7 @@ from weaktype.functionals import (
     LOG_32,
     AsymptoticPoint,
     DenominatorError,
+    RatioReport,
     W,
     W_star,
     _asymptotic_terms,
@@ -126,7 +126,7 @@ class TestGeneralRatio:
     def test_no_overshoot_at_unit_excess(self):
         # d placed exactly where the mass term hits -1: d_hat collapses to d
         m, b, c = 1, 1.1, 3.0
-        dd = general_D(1.0, b, c, m)
+        dd = families._general_D(1.0, b, c, m / 2.0)
         d = ((1.0 + (2.0 + m) / m) / dd) ** (2.0 / m)
         assert d > c
         report = general_ratio(GeneralFamilyParams(m, 1.0, b, c, d))
@@ -448,3 +448,20 @@ class TestGeneralOracleSweep:
             assert gaps[kind] > 0 and overshoots[kind] > 0
             assert off_boundary[kind] > 0
             assert certified.count(kind) >= off_boundary[kind]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: W(math.nan, 2.0, 1), DenominatorError, "nonpositive denominator nan"),
+        (lambda: W_star(0.7, math.nan, 1), DenominatorError,
+         "nonpositive denominator nan"),
+        (lambda: RatioReport.from_parts(1.0, math.nan), DenominatorError,
+         "denominator must be positive, got nan"),
+        (lambda: gill_bound(math.nan), ValueError, "m must be positive, got nan"),
+    ],
+    ids=["W", "W_star", "from_parts", "gill_bound"],
+)
+def test_nan_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -286,7 +286,7 @@ def test_forward_restricted_bitwise(seed):
         assert families.b_max(m) == _ref_b_max(m)
         assert families.t_0(b, m) == families.d_min(b, m) == _ref_t_0(b, m)
         assert families.d_max(b, m) == _ref_d_max(b, m)
-        assert families.spec_D(b, m) == _ref_spec_D(b, m)
+        assert families._spec_D(b, m / 2.0) == _ref_spec_D(b, m)
         assert functionals.w_denominator(b, d, m) == _ref_w_denominator(b, d, m)
         assert functionals.W(b, d, m) == _ref_W(b, d, m)
         assert optimize.d_opt(b, m) == _ref_d_opt(b, m)
@@ -310,8 +310,8 @@ def test_forward_w_denominator_arrays_bitwise():
 @pytest.mark.parametrize("seed", range(2))
 def test_forward_general_bitwise(seed):
     for m, a, b, c, d, *_ in _general_points(seed):
-        assert families.general_B(a, m) == _ref_general_B(a, m)
-        assert families.general_D(a, b, c, m) == _ref_general_D(a, b, c, m)
+        assert families._general_B(a, m / 2.0) == _ref_general_B(a, m)
+        assert families._general_D(a, b, c, m / 2.0) == _ref_general_D(a, b, c, m)
         built = families.build_general(GeneralFamilyParams(m, a, b, c, d))
         assert _pieces(built) == _pieces(_ref_build_general(m, a, b, c, d))
         unit = GeneralFamilyParams(m, 1.0, b / a, c / a, d / a)
@@ -331,7 +331,7 @@ def test_adjoint_restricted_matches_reference(seed):
             (families.t_0_star(bs, m), _ref_t_0_star(bs, m)),
             (families.d_star_max(bs, m), _ref_t_0_star(bs, m)),
             (families.d_star_min(bs, m), _ref_d_star_min(bs, m)),
-            (families.star_spec_D(bs, m), _ref_star_spec_D(bs, m)),
+            (families._spec_D(bs, -1.0 - m / 2.0), _ref_star_spec_D(bs, m)),
             (functionals.w_star_denominator(bs, ds, m),
              _ref_w_star_denominator(bs, ds, m)),
             (functionals.W_star(bs, ds, m), _ref_W_star(bs, ds, m)),
@@ -344,13 +344,18 @@ def test_adjoint_restricted_matches_reference(seed):
             assert _close(got, want), (m, bs, ds, got, want)
 
 
+def _general_D_star(a_star, b_star, c_star, m):
+    """The shared coefficient of the inner adjoint piece."""
+    return families._general_D(a_star, b_star, c_star, -1.0 - m / 2.0)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_adjoint_general_matches_reference(seed):
     for m, *_, a_s, b_s, c_s, d_s in _general_points(seed):
         # the terms of general_D_star cancel, so its error is measured against
         # the coefficient scale 2(1+m)/(2+m), times a*^(1+m/2) for a* != 1
         scale = 2.0 * (1.0 + m) / (2.0 + m) * a_s ** (1.0 + m / 2.0)
-        got = families.general_D_star(a_s, b_s, c_s, m)
+        got = _general_D_star(a_s, b_s, c_s, m)
         assert _close(got, _ref_general_D_star(a_s, b_s, c_s, m), scale=scale)
         built = families.build_general_star(
             GeneralStarFamilyParams(m, a_s, b_s, c_s, d_s)
@@ -369,7 +374,7 @@ def test_adjoint_general_ratio_matches_reference(seed, monkeypatch):
     # above; here the reference ratio takes the shared coefficient, which
     # checks the ratio's own terms to 1e-13 relative
     monkeypatch.setattr(
-        sys.modules[__name__], "_ref_general_D_star", families.general_D_star
+        sys.modules[__name__], "_ref_general_D_star", _general_D_star
     )
     for m, *_, a_s, b_s, c_s, d_s in _general_points(seed):
         unit = (b_s / a_s, c_s / a_s, d_s / a_s)
@@ -416,7 +421,7 @@ def test_adjoint_accuracy_against_mpmath():
             exact = _mp_general_D_star(mpmath.mpf, a_s, b_s, c_s, m)
             scale = 2.0 * (1.0 + m) / (2.0 + m) * a_s ** (1.0 + m / 2.0)
             for slot, value in enumerate(
-                (families.general_D_star(a_s, b_s, c_s, m),
+                (_general_D_star(a_s, b_s, c_s, m),
                  _ref_general_D_star(a_s, b_s, c_s, m))
             ):
                 error = float(abs(value - exact)) / scale

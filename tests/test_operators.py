@@ -278,3 +278,24 @@ class TestClosedFormVsOracleSweep:
                 closed = apply_closed_form(op, f, float(t))
                 quad = apply_quadrature_oracle(op, f, float(t))
                 assert abs(closed - quad) < 1e-8
+
+
+@pytest.mark.parametrize("op", [lambda_op(1), lambda_star_op(1)], ids=["lambda", "star"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda op, f: apply_closed_form(op, f, math.nan), "t must be positive"),
+        (lambda op, f: apply_quadrature_oracle(op, f, math.nan), "t must be positive"),
+        (lambda op, f: apply_quadrature_oracle(op, f, 0.5, tol=math.nan),
+         "tol must be positive"),
+        (lambda op, f: superlevel_measure(op, f, math.nan),
+         "threshold must be positive"),
+    ],
+    ids=["closed_form-t", "oracle-t", "oracle-tol", "superlevel-threshold"],
+)
+def test_nan_is_rejected(op, call, message):
+    # a NaN input is a ValueError, never a NaN value, an empty set or a
+    # QuadratureError
+    f = PiecewisePowerFunction((PowerPiece(0.25, 1.0, 1.0, 0.0, 0.0),))
+    with pytest.raises(ValueError, match=f"{message}, got nan"):
+        call(op, f)

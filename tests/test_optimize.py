@@ -310,6 +310,11 @@ class TestXInfinity:
     def test_curve_supremum(self):
         assert curve_supremum() == pytest.approx(1.3700052993, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_nonpositive_or_nan_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+            x_infinity(tol)
+
 
 class TestUniformBound:
     def test_constants(self):
@@ -427,3 +432,23 @@ class TestAuxSuprema:
         record = aux_suprema()[4]
         assert record.name == "low-x-branch"
         assert record.supremum <= 1.1
+
+
+@pytest.mark.parametrize("m", [0, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        maximize_W,
+        maximize_on_curve,
+        lambda m: d_opt(2.0, m),
+        lambda m: d_star_opt(0.7, m),
+        lambda m: duality_map(2.0, m),
+        lambda m: bound_134([4, m]),
+    ],
+    ids=["maximize_W", "maximize_on_curve", "d_opt", "d_star_opt", "duality_map",
+         "bound_134"],
+)
+def test_bad_m_rejected(call, m):
+    # m = 0 used to divide by zero and m = True to run as m = 1
+    with pytest.raises(ValueError, match=f"m must be an integer >= 1, got {m!r}"):
+        call(m)

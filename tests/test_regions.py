@@ -26,7 +26,7 @@ from weaktype.operators import (
     lambda_op,
     lambda_star_op,
 )
-from weaktype.piecewise import PiecewisePowerFunction, PowerPiece, power_integral
+from weaktype.piecewise import PiecewisePowerFunction, PowerPiece, _power_integral
 
 
 # --- reference: the forward and adjoint walkers before they were merged ---------
@@ -122,9 +122,9 @@ def _ref_regions_lambda_star(op, f):
 def _ref_piece_moment_over(pc, weight):
     total = 0.0
     if pc.c0 != 0.0:
-        total += pc.c0 * power_integral(weight, pc.t_lo, pc.t_hi)
+        total += pc.c0 * _power_integral(weight, pc.t_lo, pc.t_hi)
     if pc.c1 != 0.0:
-        total += pc.c1 * power_integral(pc.p + weight, pc.t_lo, pc.t_hi)
+        total += pc.c1 * _power_integral(pc.p + weight, pc.t_lo, pc.t_hi)
     return total
 
 
