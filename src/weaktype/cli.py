@@ -64,7 +64,7 @@ def cmd_table1(args) -> int:
                 m,
                 record.b,
                 record.d,
-                families.t_0(record.b, m),
+                families.d_min(record.b, m),
                 record.value,
                 functionals.gill_bound(m),
             ]
@@ -85,7 +85,7 @@ def cmd_curves(args) -> int:
                 families.d_min(b, m),
                 d_at,
                 families.d_max(b, m),
-                families.t_0(b, m),
+                families.d_min(b, m),
                 functionals.W(b, d_at, m),
             ]
         )

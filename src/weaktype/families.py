@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import _check_m
+from .operators import _adjoint_k, _check_m, _forward_k
 from .piecewise import PiecewisePowerFunction, PowerPiece
 
 __all__ = [
@@ -35,12 +35,10 @@ __all__ = [
     "B_STAR_SP",
     "b_min",
     "b_max",
-    "t_0",
     "d_min",
     "d_max",
     "b_star_min",
     "b_star_max",
-    "t_0_star",
     "d_star_min",
     "d_star_max",
     "build_general",
@@ -133,45 +131,37 @@ def _build(k: float, plus, minus, coeff_plus: float, coeff_minus: float):
 # --- boundary functions ------------------------------------------------------
 
 def b_min(m: int) -> float:
-    return _b_near(m / 2.0)
+    return _b_near(_forward_k(m))
 
 
 def b_max(m: int) -> float:
-    return _b_far(m / 2.0)
-
-
-def t_0(b: float, m: int) -> float:
-    """Sign change of the second restricted piece; equals d_min(b, m)."""
-    return _t_0(b, m / 2.0)
+    return _b_far(_forward_k(m))
 
 
 def d_min(b: float, m: int) -> float:
-    return t_0(b, m)
+    """The sign change t_0 of the second restricted piece."""
+    return _t_0(b, _forward_k(m))
 
 
 def d_max(b: float, m: int) -> float:
-    return _d_far(b, m / 2.0)
+    return _d_far(b, _forward_k(m))
 
 
 def b_star_min(m: int) -> float:
-    return _b_far(-1.0 - m / 2.0)
+    return _b_far(_adjoint_k(m))
 
 
 def b_star_max(m: int) -> float:
-    return _b_near(-1.0 - m / 2.0)
-
-
-def t_0_star(b_star: float, m: int) -> float:
-    """Sign change of the inner adjoint piece; equals d_star_max(b_star, m)."""
-    return _t_0(b_star, -1.0 - m / 2.0)
+    return _b_near(_adjoint_k(m))
 
 
 def d_star_max(b_star: float, m: int) -> float:
-    return t_0_star(b_star, m)
+    """The sign change t_0* of the inner adjoint piece."""
+    return _t_0(b_star, _adjoint_k(m))
 
 
 def d_star_min(b_star: float, m: int) -> float:
-    return _d_far(b_star, -1.0 - m / 2.0)
+    return _d_far(b_star, _adjoint_k(m))
 
 
 # --- parameter types ---------------------------------------------------------
@@ -252,8 +242,7 @@ def validate_spec(m: int, b: float, d: float) -> list[ConstraintDiagnostic]:
     The derived interval constraints are canonical; the raw inequality chain
     on the second piece is kept as a redundant cross-check.
     """
-    _check_m(m)
-    return _validate_restricted(m / 2.0, b, d, _SPEC_NAMES)
+    return _validate_restricted(_forward_k(m), b, d, _SPEC_NAMES)
 
 
 def validate_star_spec(
@@ -261,8 +250,7 @@ def validate_star_spec(
 ) -> list[ConstraintDiagnostic]:
     """Adjoint counterpart of validate_spec at (b*, d*): the same constraints
     at k = -1 - m/2, named for the mirrored intervals."""
-    _check_m(m)
-    return _validate_restricted(-1.0 - m / 2.0, b_star, d_star, _STAR_SPEC_NAMES)
+    return _validate_restricted(_adjoint_k(m), b_star, d_star, _STAR_SPEC_NAMES)
 
 
 def _raise_on_failure(diagnostics) -> None:
@@ -338,7 +326,7 @@ class FStarSpecParams:
 def build_general(params: GeneralFamilyParams) -> PiecewisePowerFunction:
     """The general two-piece function with its coupling coefficients."""
     m, a, b, c, d = params.m, params.a, params.b, params.c, params.d
-    k = m / 2.0
+    k = _forward_k(m)
     return _build(k, (a, b), (c, d), _general_B(a, k), _general_D(a, b, c, k))
 
 
@@ -346,19 +334,19 @@ def build_general_star(params: GeneralStarFamilyParams) -> PiecewisePowerFunctio
     """The general adjoint two-piece function: -1 on (d*, c*), +1 on (b*, a*)."""
     m, a_s, b_s = params.m, params.a_star, params.b_star
     c_s, d_s = params.c_star, params.d_star
-    k = -1.0 - m / 2.0
+    k = _adjoint_k(m)
     return _build(k, (a_s, b_s), (c_s, d_s), _general_B(a_s, k),
                   _general_D(a_s, b_s, c_s, k))
 
 
 def build_spec(params: FSpecParams) -> PiecewisePowerFunction:
-    """The restricted function; its unique sign change on (b, d) is t_0(b, m)."""
-    k, b = params.m / 2.0, params.b
+    """The restricted function; its unique sign change on (b, d) is d_min(b, m)."""
+    k, b = _forward_k(params.m), params.b
     return _build(k, (1.0, b), (b, params.d), _general_B(1.0, k), _spec_D(b, k))
 
 
 def build_star_spec(params: FStarSpecParams) -> PiecewisePowerFunction:
-    """The adjoint restricted function; sign change on (d*, b*) at t_0*(b*, m)."""
-    k, bs = -1.0 - params.m / 2.0, params.b_star
+    """The adjoint restricted function; its sign change on (d*, b*) is d_star_max."""
+    k, bs = _adjoint_k(params.m), params.b_star
     return _build(k, (1.0, bs), (bs, params.d_star), _general_B(1.0, k),
                   _spec_D(bs, k))

@@ -31,7 +31,7 @@ from .families import (
     GeneralFamilyParams,
     GeneralStarFamilyParams,
 )
-from .operators import OperatorKind, superlevel_measure
+from .operators import OperatorKind, _adjoint_k, _forward_k, superlevel_measure
 from .piecewise import PiecewisePowerFunction, PowerPiece, l1_norm
 
 __all__ = [
@@ -110,7 +110,7 @@ def W(b: float, d: float, m: int) -> float:
     Accepts any (b, d) in the closure of the feasible region; rejects only a
     nonpositive denominator.
     """
-    return _W(b, d, m / 2.0, w_denominator(b, d, m))
+    return _W(b, d, _forward_k(m), w_denominator(b, d, m))
 
 
 def w_star_denominator(b_star: float, d_star: float, m: int) -> float:
@@ -120,8 +120,7 @@ def w_star_denominator(b_star: float, d_star: float, m: int) -> float:
 
 def W_star(b_star: float, d_star: float, m: int) -> float:
     """Closed-form ratio (1 - d*) / L1 for the adjoint restricted family."""
-    k = -1.0 - m / 2.0
-    return _W(b_star, d_star, k, w_star_denominator(b_star, d_star, m))
+    return _W(b_star, d_star, _adjoint_k(m), w_star_denominator(b_star, d_star, m))
 
 
 def gill_bound(m: float) -> float:
@@ -168,7 +167,7 @@ def general_ratio(params: GeneralFamilyParams) -> RatioReport:
     """Exact ratio for the general family with a = 1."""
     if params.a != 1.0:
         raise ValueError("general_ratio requires a = 1 (reduce by scaling)")
-    return _general_ratio(params.b, params.c, params.d, params.m / 2.0)
+    return _general_ratio(params.b, params.c, params.d, _forward_k(params.m))
 
 
 def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
@@ -176,7 +175,7 @@ def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
     if params.a_star != 1.0:
         raise ValueError("general_ratio_star requires a* = 1 (reduce by scaling)")
     return _general_ratio(
-        params.b_star, params.c_star, params.d_star, -1.0 - params.m / 2.0
+        params.b_star, params.c_star, params.d_star, _adjoint_k(params.m)
     )
 
 

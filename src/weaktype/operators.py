@@ -67,6 +67,18 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
 
 
+def _forward_k(m: int) -> float:
+    """Kernel exponent m/2 of the forward operator; rejects a bad m."""
+    _check_m(m)
+    return m / 2.0
+
+
+def _adjoint_k(m: int) -> float:
+    """Kernel exponent -1 - m/2 of the adjoint operator; rejects a bad m."""
+    _check_m(m)
+    return -1.0 - m / 2.0
+
+
 @dataclass(frozen=True)
 class OperatorKind:
     """Which operator (forward or adjoint) and its integer parameter m >= 1."""
@@ -80,8 +92,7 @@ class OperatorKind:
     @property
     def k(self) -> float:
         """Kernel exponent: m/2 forward, -1 - m/2 adjoint."""
-        half = self.m / 2.0
-        return half if self.kind is Kind.LAMBDA else -1.0 - half
+        return (_forward_k if self.kind is Kind.LAMBDA else _adjoint_k)(self.m)
 
 
 def lambda_op(m: int) -> OperatorKind:
@@ -111,7 +122,7 @@ def eigenvalue(op: OperatorKind, alpha: float) -> float:
     forward (m/2 - alpha) / (1 + alpha + m/2) for alpha > -1 - m/2, and
     adjoint its reciprocal (1 + alpha + m/2) / (m/2 - alpha) for alpha < m/2.
     """
-    half = op.m / 2.0
+    half = _forward_k(op.m)
     num, den = half - alpha, 1.0 + alpha + half
     if op.kind is Kind.LAMBDA:
         if alpha <= -1.0 - half:

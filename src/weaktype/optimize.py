@@ -21,7 +21,7 @@ from scipy.optimize import bisect, minimize
 from . import families, functionals
 from .families import FSpecParams
 from .functionals import LOG_2, LOG_32, W, W_star
-from .operators import _check_m
+from .operators import _adjoint_k, _check_m, _forward_k
 
 __all__ = [
     "ConvergenceError",
@@ -206,8 +206,7 @@ def d_opt(b: float, m: int) -> float:
     Explicit solution of the stationarity equation of the restricted ratio in
     b at fixed d; always lies in [d_min(b), d_max(b)].
     """
-    _check_m(m)
-    return _d_opt(b, m / 2.0)
+    return _d_opt(b, _forward_k(m))
 
 
 def _curve_scan_end(m: int) -> float:
@@ -222,22 +221,20 @@ def d_star_opt(b_star: float, m: int) -> float:
     For m = 1 and b* below the adjoint split point the value drops below
     d*_min(b*); the defining equation is unchanged.
     """
-    _check_m(m)
-    return _d_opt(b_star, -1.0 - m / 2.0)
+    return _d_opt(b_star, _adjoint_k(m))
 
 
 def duality_map(b: float, m: int) -> DualityRecord:
     """b* = t_0(b)/d_opt(b) and the residuals of the three duality identities.
 
-    The identities: t_0*(b*) = b/d_opt(b), d*_opt(b*) = 1/d_opt(b), and the
-    adjoint ratio on its optimal curve at b* equals the forward ratio on its
-    optimal curve at b.
+    Here t_0 is d_min and t_0* is d_star_max.  The identities:
+    t_0*(b*) = b/d_opt(b), d*_opt(b*) = 1/d_opt(b), and the adjoint ratio on
+    its optimal curve at b* equals the forward ratio on its optimal curve at b.
     """
-    _check_m(m)
-    d_at = _d_opt(b, m / 2.0)
-    b_star = families.t_0(b, m) / d_at
-    t0_star_residual = abs(families.t_0_star(b_star, m) - b / d_at)
-    d_star_at = _d_opt(b_star, -1.0 - m / 2.0)
+    d_at = _d_opt(b, _forward_k(m))
+    b_star = families.d_min(b, m) / d_at
+    t0_star_residual = abs(families.d_star_max(b_star, m) - b / d_at)
+    d_star_at = _d_opt(b_star, _adjoint_k(m))
     d_star_opt_residual = abs(d_star_at - 1.0 / d_at)
     w_residual = abs(W_star(b_star, d_star_at, m) - W(b, d_at, m))
     return DualityRecord(
@@ -248,8 +245,7 @@ def duality_map(b: float, m: int) -> DualityRecord:
 def maximize_on_curve(m: int) -> OptimumRecord:
     """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end, then
     golden-section."""
-    _check_m(m)
-    k = m / 2.0
+    k = _forward_k(m)
     evaluations = 0
 
     def value(b: float) -> float:

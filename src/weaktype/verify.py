@@ -304,7 +304,7 @@ def _suite_boundaries(seed: int) -> CheckReport:
         )
         grid = np.linspace(lo, optimize._curve_scan_end(m), 40)
         d_opts = [optimize.d_opt(float(b), m) for b in grid]
-        ratios = [families.t_0(float(b), m) / d for b, d in zip(grid, d_opts)]
+        ratios = [families.d_min(float(b), m) / d for b, d in zip(grid, d_opts)]
         collector.bound(
             f"d_opt increasing m={m}",
             all(x < y for x, y in zip(d_opts, d_opts[1:])),
@@ -327,7 +327,7 @@ def _suite_boundaries(seed: int) -> CheckReport:
     # adjoint limit at b*_min: the numerics side with 2^(2/m)
     for m in (1, 2, 3):
         b_star = families.b_star_min(m) * (1.0 + 1e-9)
-        ratio = families.t_0_star(b_star, m) / optimize.d_star_opt(b_star, m)
+        ratio = families.d_star_max(b_star, m) / optimize.d_star_opt(b_star, m)
         collector.metric(
             f"t_0*/d*_opt limit at b*_min m={m}",
             (ratio - 2.0 ** (2.0 / m)) / 2.0 ** (2.0 / m),
@@ -350,7 +350,7 @@ def _suite_boundaries(seed: int) -> CheckReport:
             1e-10,
         )
         # sign pattern: negative on (1, b); negative then positive around t_0
-        t0 = families.t_0(params.b, params.m)
+        t0 = families.d_min(params.b, params.m)
         pattern_ok = (
             all(
                 evaluate(f_spec, float(t)) < 0.0

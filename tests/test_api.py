@@ -28,12 +28,10 @@ PUBLIC = [
     "families.B_STAR_SP",
     "families.b_min",
     "families.b_max",
-    "families.t_0",
     "families.d_min",
     "families.d_max",
     "families.b_star_min",
     "families.b_star_max",
-    "families.t_0_star",
     "families.d_star_min",
     "families.d_star_max",
     "families.build_general",

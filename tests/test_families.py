@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import weaktype
 from weaktype import families
 from weaktype.families import (
     B_SP,
@@ -25,8 +26,6 @@ from weaktype.families import (
     d_min,
     d_star_max,
     d_star_min,
-    t_0,
-    t_0_star,
     validate_spec,
     validate_star_spec,
 )
@@ -117,7 +116,7 @@ class TestBuildSpec:
         assert _interior_root(first) is None
         found = _interior_root(second)
         assert found == pytest.approx(root, abs=1e-5)
-        assert found == pytest.approx(t_0(b, m), rel=1e-13)
+        assert found == pytest.approx(d_min(b, m), rel=1e-13)
 
     def test_second_piece_vanishes_at_b_min(self):
         m = 2
@@ -169,17 +168,6 @@ class TestBoundaries:
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
     def test_d_min_at_b_min_closes_the_corner(self, m):
         assert d_min(b_min(m), m) == pytest.approx(b_min(m), rel=1e-12)
-
-    def test_t_0_equals_d_min_and_adjoint(self):
-        rng = np.random.default_rng(3)
-        for m in range(1, 21):
-            for u in rng.uniform(0.01, 0.99, size=10):
-                b = b_min(m) + float(u) * (b_max(m) - b_min(m))
-                assert t_0(b, m) == d_min(b, m)
-                assert d_min(b, m) < d_max(b, m)
-                bs = b_star_min(m) + float(u) * (b_star_max(m) - b_star_min(m))
-                assert t_0_star(bs, m) == d_star_max(bs, m)
-                assert d_star_min(bs, m) < d_star_max(bs, m)
 
     def test_adjoint_split_point_value(self):
         assert B_STAR_SP == pytest.approx(
@@ -243,3 +231,19 @@ class TestValidate:
         assert name in [diag.name for diag in diagnostics[-2:]]
         with pytest.raises(ConstraintViolation, match=re.escape(name)):
             params(m, b, d)
+
+
+# One sample call of each public name that derives the kernel exponent from m.
+_M_TAKERS = {
+    "b_min": (), "b_max": (), "d_min": (2.0,), "d_max": (2.0,),
+    "b_star_min": (), "b_star_max": (), "d_star_min": (0.7,), "d_star_max": (0.7,),
+    "W": (2.0, 5.0), "W_star": (0.649, 0.150),
+}
+
+
+@pytest.mark.parametrize("m", [0, -3, True, 1.5])
+@pytest.mark.parametrize("name", _M_TAKERS)
+def test_bad_m_rejected(name, m):
+    message = f"m must be an integer >= 1, got {m!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(weaktype, name)(*_M_TAKERS[name], m)

@@ -17,7 +17,6 @@ from weaktype.families import (
     build_star_spec,
     d_max,
     d_min,
-    t_0,
 )
 from weaktype.functionals import (
     LOG_2,
@@ -77,7 +76,7 @@ class TestWStar:
         m, b = 2, 1.4
         d_at = optimize.d_opt(b, m)
         forward = W(b, d_at, m)
-        adjoint = W_star(t_0(b, m) / d_at, 1.0 / d_at, m)
+        adjoint = W_star(d_min(b, m) / d_at, 1.0 / d_at, m)
         assert adjoint == pytest.approx(forward, abs=1e-12)
 
 

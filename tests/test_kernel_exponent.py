@@ -284,7 +284,7 @@ def test_forward_restricted_bitwise(seed):
     for m, b, d, _, _ in _restricted_points(seed):
         assert families.b_min(m) == _ref_b_min(m)
         assert families.b_max(m) == _ref_b_max(m)
-        assert families.t_0(b, m) == families.d_min(b, m) == _ref_t_0(b, m)
+        assert families.d_min(b, m) == _ref_t_0(b, m)
         assert families.d_max(b, m) == _ref_d_max(b, m)
         assert families._spec_D(b, m / 2.0) == _ref_spec_D(b, m)
         assert functionals.w_denominator(b, d, m) == _ref_w_denominator(b, d, m)
@@ -328,7 +328,6 @@ def test_adjoint_restricted_matches_reference(seed):
         pairs = [
             (families.b_star_min(m), _ref_b_star_min(m)),
             (families.b_star_max(m), _ref_b_star_max(m)),
-            (families.t_0_star(bs, m), _ref_t_0_star(bs, m)),
             (families.d_star_max(bs, m), _ref_t_0_star(bs, m)),
             (families.d_star_min(bs, m), _ref_d_star_min(bs, m)),
             (families._spec_D(bs, -1.0 - m / 2.0), _ref_star_spec_D(bs, m)),

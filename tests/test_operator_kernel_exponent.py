@@ -360,6 +360,6 @@ def test_adjoint_corner_rejected_by_the_builder():
     # region excludes the corner, so the params reject it before the builder
     for m in range(1, 41):
         b = families.b_star_max(m)
-        d = families.t_0_star(b, m)
+        d = families.d_star_max(b, m)
         with pytest.raises(ConstraintViolation, match=r"b\* < b\*_max"):
             build_star_spec(FStarSpecParams(m, b, d))

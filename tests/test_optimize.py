@@ -15,9 +15,8 @@ from weaktype.families import (
     b_star_min,
     d_max,
     d_min,
+    d_star_max,
     d_star_min,
-    t_0,
-    t_0_star,
 )
 from weaktype.functionals import DenominatorError, W
 from weaktype.optimize import (
@@ -197,7 +196,7 @@ class TestDOpt:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_ratio_limit_at_b_max(self, m):
         b = b_max(m) * (1.0 - 1e-10)
-        assert t_0(b, m) / d_opt(b, m) == pytest.approx(
+        assert d_min(b, m) / d_opt(b, m) == pytest.approx(
             2.0 ** (-2.0 / (2.0 + m)), rel=1e-6
         )
 
@@ -214,7 +213,7 @@ class TestDOpt:
     def test_monotone_and_sandwiched(self, m):
         grid = np.linspace(b_min(m), _curve_scan_end(m), 60)
         values = [d_opt(float(b), m) for b in grid]
-        ratios = [t_0(float(b), m) / v for b, v in zip(grid, values)]
+        ratios = [d_min(float(b), m) / v for b, v in zip(grid, values)]
         assert all(x < y for x, y in zip(values, values[1:]))
         assert all(x > y for x, y in zip(ratios, ratios[1:]))
         for b, v in zip(grid, values):
@@ -240,12 +239,12 @@ class TestDStarOpt:
         far = b_star_min(m) * (1.0 + 1e-6)
         near = b_star_min(m) * (1.0 + 1e-10)
         target = 2.0 ** (2.0 / m)
-        gap_far = abs(t_0_star(far, m) / d_star_opt(far, m) - target)
-        gap_near = abs(t_0_star(near, m) / d_star_opt(near, m) - target)
+        gap_far = abs(d_star_max(far, m) / d_star_opt(far, m) - target)
+        gap_near = abs(d_star_max(near, m) / d_star_opt(near, m) - target)
         assert gap_near < gap_far
         assert gap_near <= 2e-3 * target
         other = 2.0 ** (-2.0 / (2.0 + m))
-        assert abs(t_0_star(near, m) / d_star_opt(near, m) - other) > 0.5
+        assert abs(d_star_max(near, m) / d_star_opt(near, m) - other) > 0.5
 
     def test_m1_below_split_goes_under_d_star_min(self):
         bs = 0.5 * (b_star_min(1) + B_STAR_SP)

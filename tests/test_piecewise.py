@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weaktype import functionals
-from weaktype.families import FSpecParams, build_spec, t_0
+from weaktype.families import FSpecParams, build_spec, d_min
 from weaktype.piecewise import (
     PiecewisePowerFunction,
     PowerPiece,
@@ -135,7 +135,7 @@ class TestSignChanges:
         first, second = build_spec(FSpecParams(1, 2.157, 6.623)).pieces
         assert _interior_root(first) is None
         root = _interior_root(second)
-        assert root == pytest.approx(t_0(2.157, 1), rel=1e-14)
+        assert root == pytest.approx(d_min(2.157, 1), rel=1e-14)
         assert root == pytest.approx(4.29782, abs=1e-5)
 
     def test_boundary_root_excluded(self):
