@@ -10,14 +10,14 @@ f(s) / s**(1+m/2) ds - f(t).  Both map t**alpha to (k - alpha) / (1 + alpha + k)
 times itself wherever the integral converges.
 
 Closed-form application uses the exact piecewise moment integrals.  The
-independent oracle recomputes the same values by QUADPACK quadrature
-(``scipy.integrate.quad``) with piece boundaries as mandatory panel breaks.
-Superlevel sets are located structurally: on every maximal region (piece,
-gap, or tail) the transformed function is a two-term power expression, so
-each region is itself a ``PowerPiece``.  Its threshold crossings are the
-interior roots (``piecewise._interior_root``) of the region shifted by the
-threshold, and every genuine crossing is certified by Brent's method on the
-quadrature oracle inside its region.
+independent oracle recomputes the same values by adaptive Gauss-Legendre
+quadrature in u = ln s, one numpy batch over every (piece, t) panel, for t
+a float or an array of them.  Superlevel sets are located structurally: on
+every maximal region (piece, gap, or tail) the transformed function is a
+two-term power expression, so each region is itself a ``PowerPiece``.  Its
+threshold crossings are the interior roots (``piecewise._interior_root``) of
+the region shifted by the threshold, and every genuine crossing is certified
+by a sign change of the quadrature oracle inside its region.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .piecewise import (
     PiecewisePowerFunction,
@@ -55,6 +57,13 @@ THRESHOLD_SLACK = 1e-9
 
 # Closed-form crossings must agree with the oracle root to this tolerance.
 CERTIFY_TOL = 1e-8
+
+# Gauss-Legendre rules on [-1, 1] for the oracle's value (G20) and error
+# estimate (G10), and the bisection rounds before a panel fails.
+_G20 = np.polynomial.legendre.leggauss(20)
+_G10 = np.polynomial.legendre.leggauss(10)
+_NODES = np.concatenate([_G20[0], _G10[0]])
+_MAX_ROUNDS = 30
 
 
 class Kind(enum.Enum):
@@ -104,7 +113,10 @@ def lambda_star_op(m: int) -> OperatorKind:
 
 
 class QuadratureError(RuntimeError):
-    """QUADPACK reported that a panel integral did not converge."""
+    """The oracle cannot meet its share of ``tol`` on the panel and t named:
+    a term is not integrable at an end at 0 or infinity, the tail cut there
+    leaves the float range, or bisection meets rounding or runs out of rounds.
+    """
 
 
 @dataclass(frozen=True)
@@ -156,51 +168,89 @@ def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> 
     return prefactor * integral - evaluate(f, t)
 
 
-def _weighted_expression(s: float, piece: PowerPiece, weight: float) -> float:
-    return piece.expression(s) * s ** weight
-
-
+@np.errstate(all="ignore")
 def apply_quadrature_oracle(
-    op: OperatorKind, f: PiecewisePowerFunction, t: float, tol: float = 1e-10
-) -> float:
-    """Operator value recomputed by QUADPACK quadrature (``scipy.integrate.quad``).
+    op: OperatorKind, f: PiecewisePowerFunction, t: float | np.ndarray,
+    tol: float = 1e-10,
+) -> float | np.ndarray:
+    """Operator value recomputed by adaptive Gauss-Legendre quadrature.
 
-    Piece boundaries inside the integration range are mandatory panel breaks.
-    Each panel is integrated against the one piece containing its midpoint,
-    so the integrand is smooth on every panel; gap panels contribute 0.
-    ``tol`` bounds the absolute error of the returned value: every panel gets
-    the absolute tolerance ``tol / (|prefactor| * panels)`` and no relative
-    one.  Any QUADPACK warning raises QuadratureError.
+    ``t`` is a float, which returns a float, or an array, which returns one
+    of its shape.  Each (piece, t) panel is integrated in one numpy batch in
+    u = ln s, where the integrand is c0 e^((k+1)u) + c1 e^((p+k+1)u), to its
+    share ``tol / (|prefactor| * panels)`` of the absolute error.  An end at
+    0 or infinity is cut where each power term's exact tail |c| s0**e / |e|
+    is a quarter share.  G20 gets the other half, halved at each bisection,
+    until |G20 - G10| fits; sums run per value, the same bits in any batch.
     """
-    from scipy.integrate import quad
-
-    lo, hi, prefactor = _integration(op, f, t)
+    points = np.asarray(t, dtype=float)
+    flat = points.ravel()
+    bad = ~(flat > 0.0)
+    if bad.any():
+        raise ValueError(
+            f"t must be positive, got {t if points.ndim == 0 else flat[bad.argmax()]}"
+        )
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if lo >= hi or prefactor == 0.0:
-        # an underflowed prefactor leaves no integral term to check
-        return -evaluate(f, t)
-    breaks = sorted(
-        {lo, hi}
-        | {b for pc in f.pieces for b in (pc.t_lo, pc.t_hi) if lo < b < hi}
-    )
-    panel_tol = tol / (abs(prefactor) * (len(breaks) - 1))
-    integral = 0.0
-    for a, b in zip(breaks, breaks[1:]):
-        mid = 0.5 * (a + b)
-        piece = next((pc for pc in f.pieces if pc.contains(mid)), None)
-        if piece is None:
-            continue
-        value, _, _, *message = quad(
-            _weighted_expression, a, b, args=(piece, op.k),
-            epsabs=panel_tol, epsrel=0.0, full_output=1,
+    pieces = [(pc.t_lo, pc.t_hi, pc.c0, pc.c1, pc.p) for pc in f.pieces]
+    t_lo, t_hi, c0, c1, p = np.array(pieces, dtype=float).reshape(-1, 5).T
+    col, forward = flat[:, None], op.kind is Kind.LAMBDA
+    # _integration on every t: the range (0, t) forward and (t, inf) adjoint,
+    # which the pieces clip, and (1+2k) t**(-1-k) signed by its orientation
+    a = np.maximum(np.zeros_like(col) if forward else col, t_lo)
+    b = np.minimum(col if forward else np.full_like(col, np.inf), t_hi)
+    prefactor = (1.0 if forward else -1.0) * (1.0 + 2.0 * op.k) * flat ** (-1.0 - op.k)
+    # an underflowed prefactor leaves no integral term to check
+    owner, piece = np.nonzero((a < b) & (prefactor != 0.0)[:, None])
+    a, b = a[owner, piece], b[owner, piece]
+    budget = tol / (np.abs(prefactor[owner]) * np.bincount(owner)[owner])
+    coeffs = np.stack([c0[piece], c1[piece]])
+    exps = op.k + 1.0 + np.stack([np.zeros_like(b), p[piece]])
+    live, at0, atinf = coeffs != 0.0, a == 0.0, b == np.inf
+    exps[~live] = 0.0  # a zero term stays zero however far out
+
+    def fail(panel: int, why: str):
+        raise QuadratureError(
+            f"{why} at t={flat[owner[panel]]} on panel [{a[panel]}, {b[panel]}]"
         )
-        if message:
-            raise QuadratureError(
-                f"QUADPACK failed on [{a}, {b}]: {message[0]}"
-            )
-        integral += value
-    return prefactor * integral - evaluate(f, t)
+
+    ua, ub = np.log(a), np.log(b)
+    if (at0 | atinf).any():
+        bad = np.any(live & ((at0 & ~(exps > 0.0)) | (atinf & ~(exps < 0.0))), axis=0)
+        if bad.any():
+            fail(bad.argmax(), "a power term is not integrable at the panel end")
+        # cut an end at 0 or infinity, not past the other; a zero term's is NaN
+        cut = np.log(0.25 * budget * np.abs(exps / coeffs)) / exps
+        ua = np.where(at0, np.fmin(ub, np.fmin.reduce(cut)), ua)
+        ub = np.where(atinf, np.fmax(ua, np.fmax.reduce(cut)), ub)
+        bad = (at0 & ~(np.exp(ua) > 0.0)) | (atinf & ~(np.exp(ub) < np.inf))
+        if bad.any():
+            fail(bad.argmax(), "the tail cut leaves the float range")
+    src, mid, half = np.arange(a.size), 0.5 * (ua + ub), 0.5 * (ub - ua)
+    share, integral = 0.5 * budget, np.zeros(flat.size)
+    for _ in range(_MAX_ROUNDS):
+        u = mid[:, None] + half[:, None] * _NODES
+        terms = coeffs[:, src, None] * np.exp(exps[:, src, None] * u)
+        values = terms.sum(axis=0)
+        g20 = half * np.sum(values[:, :20] * _G20[1], axis=-1)
+        g10 = half * np.sum(values[:, 20:] * _G10[1], axis=-1)
+        error = np.abs(g20 - g10)
+        done = error <= share
+        integral += np.bincount(owner[src[done]], g20[done], flat.size)
+        if done.all():
+            break
+        # bisection cannot help a NaN or an estimate already at rounding
+        size = half * np.sum(abs(terms[..., :20]).sum(axis=0) * _G20[1], axis=-1)
+        stuck = ~done & ~(error > np.finfo(float).eps * size)
+        if stuck.any():
+            fail(src[stuck.argmax()], "the estimate is at rounding, above its share")
+        src, mid, share, half = src[~done], mid[~done], share[~done], 0.5 * half[~done]
+        mid = np.concatenate([mid - half, mid + half])
+        src, share, half = np.tile(src, 2), np.tile(0.5 * share, 2), np.tile(half, 2)
+    else:
+        fail(src[0], f"bisection does not converge in {_MAX_ROUNDS} rounds")
+    result = prefactor * integral - np.array([evaluate(f, x) for x in flat.tolist()])
+    return float(result[0]) if points.ndim == 0 else result.reshape(points.shape)
 
 
 # --- structural superlevel sets -------------------------------------------
@@ -339,30 +389,20 @@ def _certify_crossing(
     t_cross: float,
     thr: float,
 ) -> None:
-    """Locate the root of |Tf| - thr (via the quadrature oracle) near a crossing.
+    """Check that |Tf| - thr on the quadrature oracle changes sign at a crossing.
 
-    The bracket of +-1e-3 * t_cross is shrunk to lie strictly inside the
-    crossing's region: Tf jumps where f does, so a bracket reaching across a
-    region boundary can miss the sign change.
+    It takes t_cross -+ CERTIFY_TOL * max(1, t_cross) in one oracle call,
+    each shrunk to lie strictly inside the region: Tf jumps where f does.  A
+    sign change puts an oracle root that close to the closed-form crossing.
     """
-    from scipy.optimize import brentq
-
-    def residual(t: float) -> float:
-        return abs(apply_quadrature_oracle(op, f, t, tol=1e-12)) - thr
-
-    delta = 1e-3 * t_cross
+    delta = CERTIFY_TOL * max(1.0, t_cross)
     lo = max(t_cross - delta, 0.5 * (region.t_lo + t_cross))
     hi = min(t_cross + delta, 0.5 * (t_cross + region.t_hi))
-    try:
-        certified = brentq(residual, lo, hi, xtol=1e-10 * t_cross)
-    except ValueError as exc:
+    residual = abs(apply_quadrature_oracle(op, f, np.array([lo, hi]), 1e-12)) - thr
+    if not residual.min() <= 0.0 <= residual.max():
         raise RuntimeError(
-            f"oracle does not bracket the crossing at t={t_cross}"
-        ) from exc
-    if abs(certified - t_cross) > CERTIFY_TOL * max(1.0, t_cross):
-        raise RuntimeError(
-            f"closed-form crossing {t_cross} disagrees with oracle "
-            f"root {certified}"
+            f"closed-form crossing {t_cross} disagrees with the oracle: "
+            f"|Tf| - thr is {residual[0]} at {lo} and {residual[1]} at {hi}"
         )
 
 

@@ -270,6 +270,22 @@ class TestModuleEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
 
+    def test_verify_leaves_scipy_integrate_unloaded(self):
+        # the oracle is numpy quadrature, so no suite loads scipy.integrate;
+        # the benchmark's import timing reads the scipy.optimize line of
+        # `import weaktype`, so that import must stay eager
+        code = (
+            "import sys, weaktype; eager = 'scipy.optimize' in sys.modules; "
+            "weaktype.run_suite(list(weaktype.SUITE_NAMES), 0); "
+            "print(eager, 'scipy.integrate' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_source_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True False\n"
+
     def test_python_m_weaktype_matches_cli_module(self):
         env = _source_env()
         outputs = []

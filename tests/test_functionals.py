@@ -112,8 +112,8 @@ class TestGeneralRatio:
         assert report.ratio == pytest.approx(oracle.ratio, abs=1e-8)
 
     def test_matches_oracle_with_crossing_near_piece_boundary(self):
-        # the crossing at 5.38548 lies 1.9e-3 beyond d = 5.38357, inside the
-        # +-1e-3 * t certification bracket; the bracket must stay in its region
+        # the crossing at 5.38548 lies 1.9e-3 beyond d = 5.38357, where Tf
+        # jumps; both certification points must stay in the crossing's region
         params = GeneralFamilyParams(
             3, 1.0, 1.8328294285440396, 3.2852571327372413, 5.383574343756783
         )

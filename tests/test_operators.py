@@ -110,8 +110,8 @@ class TestQuadratureOracle:
         )
 
     def test_singular_integrand_converges(self):
-        # p = -1.4 is integrable against sqrt(s); QUADPACK's extrapolation
-        # resolves the endpoint singularity at 0
+        # p = -1.4 is integrable against sqrt(s); the panel from 0 is cut
+        # where the exact tail of s**-0.9 is a quarter of its share
         f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 0.0, 1.0, -1.4),))
         op = lambda_op(1)
         assert apply_quadrature_oracle(op, f, 0.5) == pytest.approx(
@@ -119,8 +119,9 @@ class TestQuadratureOracle:
         )
 
     def test_singular_integrand_signals_failure(self):
-        # at p = -1.49 the integrand s**-0.99 is too close to non-integrable
-        # for QUADPACK to reach the tolerance; it must say so, not guess
+        # at p = -1.49 the integrand s**-0.99 is too close to non-integrable:
+        # the cut where its tail is small enough underflows; it must say so,
+        # not guess
         f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 0.0, 1.0, -1.49),))
         with pytest.raises(QuadratureError):
             apply_quadrature_oracle(lambda_op(1), f, 0.5)
