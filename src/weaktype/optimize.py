@@ -3,9 +3,12 @@
 This module searches the closed forms of ``functionals``; ``curve_supremum``
 and ``UNIFORM_BOUND_CONSTANTS`` are the one home of their values.
 
-All searches are deterministic: a fixed feasibility-mapped grid feeds a
-Nelder-Mead refinement (reflection 1, expansion 2, contraction 0.5, shrink
-0.5, clipped to the feasible closure), one-dimensional scans feed
+All searches are deterministic.  A fixed feasibility-mapped grid feeds
+``_nelder_mead``, scipy's Nelder-Mead repeated step for step in Python floats:
+initial simplex x0 with each coordinate in turn times 1.05 (0.00025 where it
+is 0), reflection 1, expansion 2, contraction 0.5, shrink 0.5, clipped to the
+feasible closure, xatol = fatol = 1e-10, at most 2000 iterations and, as in
+scipy given only maxiter, no cap on evaluations.  One-dimensional scans feed
 golden-section refinement, and every root is found by bisection on an
 analytically sign-certified bracket.
 """
@@ -14,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 
 import numpy as np
-from scipy.optimize import bisect, minimize
+from scipy.optimize import bisect
 
 from . import families, functionals
 from .families import FSpecParams
@@ -47,6 +52,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_NM_TOL, _NM_MAX_ITERATIONS = 1e-10, 2000  # scipy's xatol = fatol, maxiter
 
 # 2 e^{-1/2} - 1: the limiting coefficient 2 b^{-m/2} - 1 at b = e^{1/m}.
 _THETA = 2.0 * math.exp(-0.5) - 1.0
@@ -98,16 +104,61 @@ def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return best_x, best_value
 
 
-def _scan_then_refine(fn, lo: float, hi: float, samples: int) -> tuple[float, float]:
-    """Scan fn at ``samples`` evenly spaced points of [lo, hi], then refine the
-    first maximum by golden section between its two neighbours."""
-    grid = np.linspace(lo, hi, samples)
-    index = int(np.argmax([fn(x) for x in grid]))
-    return _golden_max(fn, grid[max(0, index - 1)], grid[min(samples - 1, index + 1)])
+def _scan_then_refine(fn, grid: np.ndarray, values=None) -> tuple[float, float]:
+    """Refine the first maximum of ``values``, fn on ``grid`` (by default
+    scanned point by point), by golden section between its two neighbours."""
+    index = int(np.argmax([fn(x) for x in grid] if values is None else values))
+    return _golden_max(fn, grid[max(0, index - 1)], grid[min(grid.size - 1, index + 1)])
 
 
 class ConvergenceError(RuntimeError):
     """An optimizer stopped without meeting its convergence criteria."""
+
+
+def _nelder_mead(fn, x0) -> tuple[list[float], int, str | None]:
+    """Minimize fn from x0 by scipy's Nelder-Mead steps, in its operation order.
+
+    Ties in value keep their order, as numpy's sort of up to three vertices
+    does; fn must not return NaN.  Returns (x, evaluations, failure), failure
+    being None on convergence and otherwise scipy's reason."""
+    n, evaluations = len(x0), 0
+
+    def vertex(x: list[float]) -> tuple[float, list[float]]:
+        nonlocal evaluations
+        evaluations += 1
+        return fn(x), x
+
+    def toward(t: float) -> tuple[float, list[float]]:
+        # reflection t = 1, expansion 2, contraction 0.5 outside, -0.5 inside
+        return vertex([(1.0 + t) * c - t * w for c, w in zip(xbar, worst)])
+
+    simplex = sorted([vertex(list(x0))] + [vertex([
+        (1.05 * c if c != 0 else 0.00025) if j == i else c
+        for j, c in enumerate(x0)]) for i in range(n)], key=itemgetter(0))
+    for _ in range(1, _NM_MAX_ITERATIONS):
+        f_best, best = simplex[0]
+        if all(abs(a - b) <= _NM_TOL for _, x in simplex[1:] for a, b in zip(x, best)) \
+                and all(abs(f_best - f) <= _NM_TOL for f, _ in simplex[1:]):
+            return best, evaluations, None
+        f_worst, worst = simplex[-1]
+        # numpy's column sums run left to right from the first vertex
+        xbar = [reduce(add, column) / n for column in zip(*(x for _, x in simplex[:-1]))]
+        reflected = toward(1.0)
+        if reflected[0] < f_best:
+            expanded = toward(2.0)
+            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
+        elif reflected[0] < simplex[-2][0]:
+            simplex[-1] = reflected
+        else:
+            outside = reflected[0] < f_worst
+            contracted = toward(0.5 if outside else -0.5)
+            if contracted[0] <= reflected[0] if outside else contracted[0] < f_worst:
+                simplex[-1] = contracted
+            else:  # shrink halfway toward the best vertex
+                simplex[1:] = [vertex([b + 0.5 * (a - b) for a, b in zip(x, best)])
+                               for _, x in simplex[1:]]
+        simplex.sort(key=itemgetter(0))
+    return simplex[0][1], evaluations, "Maximum number of iterations has been exceeded."
 
 
 def _feasibility_map(m: int, u, v):
@@ -138,10 +189,10 @@ def maximize_W(m: int) -> OptimumRecord:
 
     The grid is evaluated as one array; ties on it break toward smaller b,
     then smaller d, and the winning cell is evaluated again by scalar W.  The
-    refinement objective clips (u, v) to the unit square, so the search never
-    leaves the closure of the feasible region.  ``evaluations`` counts every
-    grid cell and every Nelder-Mead evaluation.  Deterministic for fixed
-    inputs; raises ConvergenceError when Nelder-Mead does not converge.
+    refinement, on scalar W, clips (u, v) to the unit square, so the search
+    never leaves the closure of the feasible region.  ``evaluations`` counts
+    every grid cell and every Nelder-Mead evaluation.  Deterministic for
+    fixed inputs; raises ConvergenceError when Nelder-Mead does not converge.
     """
     _check_m(m)
 
@@ -163,18 +214,11 @@ def maximize_W(m: int) -> OptimumRecord:
     # fallback below compares against the scalar value of the winning cell
     best = (value(ticks[row], ticks[col]), ticks[row], ticks[col])
 
-    result = minimize(
-        lambda uv: -value(uv[0], uv[1]),
-        x0=np.array([best[1], best[2]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
-    )
-    if not result.success:
-        raise ConvergenceError(
-            f"Nelder-Mead did not converge for m={m}: {result.message}"
-        )
-    evaluations = ticks.size ** 2 + result.nfev
-    u_best, v_best = result.x
+    (u_best, v_best), nfev, failure = _nelder_mead(
+        lambda uv: -value(*uv), [float(best[1]), float(best[2])])
+    if failure is not None:
+        raise ConvergenceError(f"Nelder-Mead did not converge for m={m}: {failure}")
+    evaluations = ticks.size ** 2 + nfev
     b, d = bd_of(u_best, v_best)
     final = W(b, d, m)
     if final < best[0]:
@@ -183,18 +227,18 @@ def maximize_W(m: int) -> OptimumRecord:
     return OptimumRecord(m, b, d, final, evaluations)
 
 
-def _d_opt(b: float, k: float) -> float:
-    """The optimal-curve coordinate at b for kernel exponent k.
+def _d_opt(b, k: float):
+    """The optimal-curve coordinate at b, a float or an array, for kernel exponent k.
 
     The range check is closed, with a 1e-12 relative allowance, at the end
     of the b-range nearer to 1 and open at the far end.
     """
     s = families._orientation(k)
     near, far = families._b_near(k), families._b_far(k)
-    if not (s * b >= s * near * (1.0 - s * 1e-12) and s * b < s * far):
-        raise ValueError(
-            f"b must lie between {near} (closed) and {far} (open), got {b}"
-        )
+    inside = (s * b >= s * near * (1.0 - s * 1e-12)) & (s * b < s * far)
+    if inside is not True and not np.all(inside):  # a scalar skips np.all
+        raise ValueError(f"b must lie between {near} (closed) and {far} (open), "
+                         f"got {np.extract(np.logical_not(inside), b)[0]}")
     coeff = 2.0 * b ** (-k) - 1.0
     rhs = -k * coeff * b ** (1.0 + k) + 2.0 * (1.0 + k) * families._t_0(b, k)
     return (rhs / ((1.0 + 2.0 * k) * coeff)) ** (1.0 / (1.0 + k))
@@ -243,19 +287,24 @@ def duality_map(b: float, m: int) -> DualityRecord:
 
 
 def maximize_on_curve(m: int) -> OptimumRecord:
-    """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end, then
-    golden-section."""
+    """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end as one
+    array, then golden-section on scalar W.  The first scan point with a
+    nonpositive or NaN denominator raises DenominatorError."""
     k = _forward_k(m)
-    evaluations = 0
+    grid = np.linspace(families.b_min(m), _curve_scan_end(m), 400)
+    d = _d_opt(grid, k)
+    denominator = functionals._w_denominator(grid, d, k)
+    if not (denominator > 0.0).all():  # scalar _W raises at the first such b
+        i = int(np.argmin(denominator > 0.0))
+        functionals._W(float(grid[i]), float(d[i]), k, float(denominator[i]))
+    evaluations = grid.size
 
     def value(b: float) -> float:
         nonlocal evaluations
         evaluations += 1
         return W(b, _d_opt(b, k), m)
 
-    b_best, best = _scan_then_refine(
-        value, families.b_min(m), _curve_scan_end(m), 400
-    )
+    b_best, best = _scan_then_refine(value, grid, (d - 1.0) / denominator)
     return OptimumRecord(m, b_best, _d_opt(b_best, k), best, evaluations)
 
 
@@ -487,7 +536,7 @@ def aux_suprema() -> list[AuxSupremumRecord]:
     """
     out = []
     for name, fn, lo, hi, bound in _AUX_SPECS:
-        argmax, supremum = _scan_then_refine(fn, lo, hi, 2000)
+        argmax, supremum = _scan_then_refine(fn, np.linspace(lo, hi, 2000))
         out.append(AuxSupremumRecord(name, lo, hi, argmax, supremum, bound))
     return out
 

@@ -219,14 +219,7 @@ class TestVerify:
         "args", [["table1", "--m", "1"], ["verify", "--suites", "table1"]]
     )
     def test_optimizer_failure_exits_one(self, capsys, monkeypatch, args):
-        real_minimize = optimize.minimize
-
-        def failing(*a, **kw):
-            result = real_minimize(*a, **kw)
-            result.success = False
-            return result
-
-        monkeypatch.setattr(optimize, "minimize", failing)
+        monkeypatch.setattr(optimize, "_NM_MAX_ITERATIONS", 5)
         code = main(args)
         captured = capsys.readouterr()
         assert code == 1

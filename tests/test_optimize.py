@@ -1,5 +1,9 @@
 import functools
+import json
 import math
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,17 +178,84 @@ class TestMaximizeWGrid:
         assert maximize_W(m) == reference
 
     def test_nonconvergence_raises(self, monkeypatch):
-        real_minimize = optimize.minimize
-
-        def failing(*args, **kwargs):
-            result = real_minimize(*args, **kwargs)
-            result.success = False
-            result.message = "Maximum number of iterations has been exceeded."
-            return result
-
-        monkeypatch.setattr(optimize, "minimize", failing)
-        with pytest.raises(ConvergenceError, match="m=2"):
+        monkeypatch.setattr(optimize, "_NM_MAX_ITERATIONS", 5)
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^Nelder-Mead did not converge for m=2: "
+            r"Maximum number of iterations has been exceeded\.$",
+        ):
             maximize_W(2)
+
+
+def _rosenbrock(x):
+    a, b = 1.0 - x[0], x[1] - x[0] * x[0]
+    return a * a + 100.0 * b * b
+
+
+def _walled_rosenbrock(x):
+    # +inf on a half-plane through the minimum's neighbourhood, as the
+    # maximize_W objective reads a nonpositive denominator
+    return math.inf if x[0] + 0.5 * x[1] > 1.4 else _rosenbrock(x)
+
+
+def _noise():
+    # ignores x, so no simplex converges: every step sees fresh values
+    return lambda x, draw=random.Random(7).random: draw()
+
+
+class TestNelderMead:
+    """The module's simplex against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_fn,x0,converges",
+        [
+            (lambda: _rosenbrock, (-1.2, 1.0), True),
+            (lambda: _rosenbrock, (-5.0, 10.0), True),
+            (lambda: _rosenbrock, (100.0, -50.0), True),
+            (lambda: _rosenbrock, (0.3, 0.2), True),
+            (lambda: _rosenbrock, (0.0, 0.7), True),
+            (lambda: _walled_rosenbrock, (-1.2, 1.0), True),
+            (lambda: _walled_rosenbrock, (0.0, 0.0), True),
+            (_noise, (0.3, 0.2), False),
+        ],
+        ids=["rosenbrock-a", "rosenbrock-b", "rosenbrock-c", "rosenbrock-d",
+             "zero-coordinate", "inf-half-plane", "inf-half-plane-zero",
+             "not-converging"],
+    )
+    def test_matches_scipy(self, make_fn, x0, converges):
+        x, evaluations, failure = optimize._nelder_mead(make_fn(), list(x0))
+        fn = make_fn()
+        reference = minimize(
+            lambda v: fn([float(c) for c in v]),
+            x0=np.array(x0),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
+        )
+        assert [c.hex() for c in x] == [float(c).hex() for c in reference.x]
+        assert evaluations == reference.nfev
+        assert (failure is None) == reference.success == converges
+        if not converges:
+            assert failure == reference.message
+
+    def test_walled_start_reaches_the_wall(self):
+        x, _, failure = optimize._nelder_mead(_walled_rosenbrock, [-1.2, 1.0])
+        assert failure is None
+        assert x[0] + 0.5 * x[1] == pytest.approx(1.4, abs=1e-6)
+
+
+def test_optimizer_records_match_the_recorded_outputs():
+    # float hex and evaluation counts of both searches at m = 1..200, as the
+    # scipy Nelder-Mead and the scalar curve scan produced them
+    recorded = json.loads(Path(__file__).with_name("optimizer_records.json").read_text())
+    mismatches = []
+    for row in recorded:
+        for name in ("maximize_W", "maximize_on_curve"):
+            record = getattr(optimize, name)(row["m"])
+            got = [record.b.hex(), record.d.hex(), record.value.hex(), record.evaluations]
+            if got != row[name]:
+                mismatches.append((name, row["m"], got, row[name]))
+    assert [row["m"] for row in recorded] == list(range(1, 201))
+    assert mismatches == []
 
 
 class TestDOpt:
@@ -208,6 +279,23 @@ class TestDOpt:
             d_opt(b_min(2) * 0.9, 2)
         with pytest.raises(ValueError):
             d_opt(b_max(2), 2)
+
+    def test_array_domain_names_the_first_b_outside(self):
+        k = optimize._forward_k(2)
+        inside = [b_min(2), 0.5 * (b_min(2) + b_max(2))]
+        with pytest.raises(ValueError, match=re.escape(f"got {b_max(2)}")):
+            optimize._d_opt(np.array([*inside, b_max(2), b_min(2) * 0.9]), k)
+        with pytest.raises(ValueError, match=re.escape(f"got {math.nan}")):
+            optimize._d_opt(np.array([math.nan, *inside]), k)
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 40])
+    def test_array_matches_scalar(self, m):
+        # array pow may differ from libm pow in the last bit
+        k = optimize._forward_k(m)
+        grid = np.linspace(b_min(m), _curve_scan_end(m), 50)
+        scalar = [optimize._d_opt(float(b), k) for b in grid]
+        rtol = 8.0 * (m + 2.0) * np.finfo(float).eps
+        np.testing.assert_allclose(optimize._d_opt(grid, k), scalar, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     def test_monotone_and_sandwiched(self, m):
@@ -290,6 +378,25 @@ class TestMaximizeOnCurve:
 
     def test_agrees_with_grid_maximization(self):
         assert abs(maximize_on_curve(2).value - maximize_W(2).value) <= 1e-4
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_infeasible_scan_point_raises(self, monkeypatch, bad):
+        m, index = 3, 137
+        k = optimize._forward_k(m)
+        grid = np.linspace(b_min(m), _curve_scan_end(m), 400)
+        true_denominator = functionals._w_denominator
+
+        def patched(b, d, k):
+            # nonpositive or NaN from the index-th scan point on
+            denominator = true_denominator(b, d, k)
+            return np.where(b >= grid[index], bad * np.abs(denominator), denominator)
+
+        monkeypatch.setattr(functionals, "_w_denominator", patched)
+        first = re.escape(f"at (b={float(grid[index])}, d=")
+        with pytest.raises(DenominatorError, match=first):
+            maximize_on_curve(m)
+        with pytest.raises(DenominatorError, match=first):
+            W(float(grid[index]), optimize._d_opt(grid[index], k), m)
 
 
 class TestXInfinity:
