@@ -79,15 +79,10 @@ def cmd_curves(args) -> int:
     for b in np.linspace(families.b_min(m), optimize._curve_scan_end(m), args.samples):
         b = float(b)
         d_at = optimize.d_opt(b, m)
+        # d_min is the sign change t_0 of the second piece: one value, two columns
+        d_lo = families.d_min(b, m)
         rows.append(
-            [
-                b,
-                families.d_min(b, m),
-                d_at,
-                families.d_max(b, m),
-                families.d_min(b, m),
-                functionals.W(b, d_at, m),
-            ]
+            [b, d_lo, d_at, families.d_max(b, m), d_lo, functionals.W(b, d_at, m)]
         )
     _emit_rows(["b", "d_min", "d_opt", "d_max", "t_0", "W_on_curve"], rows, args)
     return 0

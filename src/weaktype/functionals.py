@@ -7,8 +7,8 @@ The general-family ratios add the mass-overshoot
 corrections b_hat and d_hat, and take the L1 norm of the second piece from
 ``l1_norm``.  The large-m closed forms on the (x, y, z) coordinates live
 here too: ``asymptotic_restricted``, and the general ratio
-``_asymptotic_ratio`` over arrays of y and z, which ``asymptotic_general``
-evaluates at one point and ``optimize.push_check`` slab by slab.
+``_asymptotic_ratio``, one numpy function over arrays of y and z that
+``optimize.push_check`` evaluates slab by slab.
 
 As in ``families``, the adjoint families are the forward ones at kernel
 exponent k = -1 - m/2 instead of k = m/2, with the intervals mirrored
@@ -37,7 +37,6 @@ from .piecewise import PiecewisePowerFunction, PowerPiece, l1_norm
 __all__ = [
     "DenominatorError",
     "RatioReport",
-    "AsymptoticPoint",
     "W",
     "W_star",
     "gill_bound",
@@ -45,7 +44,6 @@ __all__ = [
     "general_ratio_star",
     "oracle_ratio",
     "asymptotic_restricted",
-    "asymptotic_general",
     "LOG_32",
     "LOG_2",
 ]
@@ -187,26 +185,6 @@ def oracle_ratio(op: OperatorKind, f: PiecewisePowerFunction) -> RatioReport:
 
 # --- asymptotic (large-m) program ----------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticPoint:
-    """Coordinates of the large-m program: x > 0, y > 0, 2(2 - e^x) <= z <= 2."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if self.x <= 0.0 or self.y <= 0.0:
-            raise ConstraintViolation(
-                f"need x > 0 and y > 0, got ({self.x}, {self.y})"
-            )
-        lo = 2.0 * (2.0 - math.exp(self.x))
-        if not (lo <= self.z <= 2.0):
-            raise ConstraintViolation(
-                f"need 2(2 - e^x) <= z <= 2, got z={self.z}, lower bound {lo}"
-            )
-
-
 def asymptotic_restricted(x: float, y: float) -> float:
     """Large-m ratio on the restricted branch.
 
@@ -234,13 +212,11 @@ def _asymptotic_terms(x: float, y, z):
     """x_hat, y_hat and int_0^y |-1 + z e^s| ds of the general ratio.
 
     ``x`` is a scalar; ``y`` is a scalar or an array broadcasting against
-    ``z``, such as a column for a (y, z) slab.  exp(y) and exp(-y) are taken
-    with math.exp element by element, so a slab agrees bit for bit with
-    scalar-y calls.  The integral is split at s = -ln z.
+    ``z``, such as a column for a (y, z) slab.  Every term is elementwise, so a
+    slab gives the values of one call per y.  The integral splits at s = -ln z.
     """
-    scalar_exp = np.vectorize(math.exp, otypes=[float])
-    ey = scalar_exp(y)
-    e_neg_y = scalar_exp(np.negative(y))
+    ey = np.exp(y)
+    e_neg_y = np.exp(np.negative(y))
     base = math.log(2.0 * math.exp(x) - 2.0)
     with np.errstate(divide="ignore"):
         shifted = base - np.log(2.0 - z)
@@ -264,7 +240,3 @@ def _asymptotic_ratio(x: float, y, z):
     x_hat, y_hat, integral = _asymptotic_terms(x, y, z)
     return (x_hat + y_hat) / (2.0 * math.exp(x) - x - 2.0 + integral)
 
-
-def asymptotic_general(point: AsymptoticPoint) -> float:
-    """Large-m ratio of the general family in (x, y, z) coordinates."""
-    return float(_asymptotic_ratio(point.x, point.y, point.z))

@@ -161,12 +161,17 @@ def _nelder_mead(fn, x0) -> tuple[list[float], int, str | None]:
     return simplex[0][1], evaluations, "Maximum number of iterations has been exceeded."
 
 
-def _feasibility_map(m: int, u, v):
-    """(b, d) at the unit-square point (u, v), as scalars or broadcast arrays."""
+def _feasibility_map(m: int):
+    """The map (u, v) -> (b, d), scalars or broadcast arrays, from the unit
+    square onto the feasible region; the b-range is computed once."""
     lo_b, hi_b = families.b_min(m), families.b_max(m)
-    b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
-    d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
-    return b, d_lo + v * (d_hi - d_lo)
+
+    def to_bd(u, v):
+        b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
+        d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
+        return b, d_lo + v * (d_hi - d_lo)
+
+    return to_bd
 
 
 def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
@@ -176,7 +181,7 @@ def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
     [d_min(b), d_max(b)].  A cell whose denominator is nonpositive or not
     finite reads -inf.
     """
-    b, d = _feasibility_map(m, ticks[:, None], ticks)
+    b, d = _feasibility_map(m)(ticks[:, None], ticks)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denominator = functionals.w_denominator(b, d, m)
         feasible = np.isfinite(denominator) & (denominator > 0.0)
@@ -195,9 +200,10 @@ def maximize_W(m: int) -> OptimumRecord:
     fixed inputs; raises ConvergenceError when Nelder-Mead does not converge.
     """
     _check_m(m)
+    to_bd = _feasibility_map(m)
 
     def bd_of(u: float, v: float) -> tuple[float, float]:
-        return _feasibility_map(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
+        return to_bd(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
 
     def value(u: float, v: float) -> float:
         b, d = bd_of(u, v)
@@ -459,13 +465,12 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
         if ratios[row, col] > worst:
             worst = float(ratios[row, col])
             worst_point = (float(x), float(ys[row]), float(zs[col]))
-    ray_ok = True
-    for scale_a, scale_b in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0)):
-        for z in (0.5, 1.0, 1.9):
-            a = ratio(x_cap * scale_a, y_cap * scale_a, np.array([z]))[0]
-            b = ratio(x_cap * scale_b, y_cap * scale_b, np.array([z]))[0]
-            if b > a:
-                ray_ok = False
+    ray_zs = np.array([0.5, 1.0, 1.9])
+    ray_ok = not any(
+        (ratio(x_cap * far, y_cap * far, ray_zs)
+         > ratio(x_cap * near, y_cap * near, ray_zs)).any()
+        for near, far in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0))
+    )
     return PushCheckRecord(
         grid_resolution, supremum, worst - supremum, worst_point, ray_ok,
         x_cap, y_cap,

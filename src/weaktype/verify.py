@@ -69,10 +69,11 @@ class _Collector:
         self.bound(name, truncated == reference, truncated - reference)
 
     def report(self, name: str, seed: int, tolerance: float = 1.0) -> CheckReport:
-        worst = max((value for _, value in self.entries), default=0.0)
-        ranked = sorted(self.entries, key=lambda item: -item[1])[:5]
+        """Worst entry first; a NaN entry ranks above every number, so it fails."""
+        ranked = sorted(self.entries, key=lambda e: (not math.isnan(e[1]), -e[1]))
+        worst = ranked[0][1] if ranked else 0.0
         status = Status.PASS if worst <= tolerance else Status.FAIL
-        return CheckReport(name, status, worst, tolerance, seed, tuple(ranked))
+        return CheckReport(name, status, worst, tolerance, seed, tuple(ranked[:5]))
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:

@@ -42,7 +42,6 @@ PUBLIC = [
     "families.validate_star_spec",
     "functionals.DenominatorError",
     "functionals.RatioReport",
-    "functionals.AsymptoticPoint",
     "functionals.W",
     "functionals.W_star",
     "functionals.gill_bound",
@@ -50,7 +49,6 @@ PUBLIC = [
     "functionals.general_ratio_star",
     "functionals.oracle_ratio",
     "functionals.asymptotic_restricted",
-    "functionals.asymptotic_general",
     "functionals.LOG_32",
     "functionals.LOG_2",
     "operators.Kind",

@@ -21,13 +21,12 @@ from weaktype.families import (
 from weaktype.functionals import (
     LOG_2,
     LOG_32,
-    AsymptoticPoint,
     DenominatorError,
     RatioReport,
     W,
     W_star,
+    _asymptotic_ratio,
     _asymptotic_terms,
-    asymptotic_general,
     asymptotic_restricted,
     general_ratio,
     general_ratio_star,
@@ -219,40 +218,29 @@ class TestAsymptoticGeneral:
                 y = -math.log(z) + math.log(y_scale)
                 if y <= 0:
                     continue
-                point = AsymptoticPoint(x, y, z)
-                assert asymptotic_general(point) == pytest.approx(
+                assert _asymptotic_ratio(x, y, z) == pytest.approx(
                     asymptotic_restricted(x, y), rel=1e-12
                 )
 
     def test_small_z_branch(self):
         x, y = 0.65, 0.4
         z = 0.5 * math.exp(-y)
-        point = AsymptoticPoint(x, y, z)
         expected_num = (
             x + math.log(2.0 * math.exp(x) - 2.0) - math.log(2.0 - z)
             + y + math.log(2.0 - z * math.exp(y))
         )
         expected_den = 2.0 * math.exp(x) - x - 2.0 + y - z * (math.exp(y) - 1.0)
-        assert asymptotic_general(point) == pytest.approx(
+        assert _asymptotic_ratio(x, y, z) == pytest.approx(
             expected_num / expected_den, rel=1e-13
         )
 
     def test_low_x_keeps_x_unchanged(self):
         x, y = 0.3, 1.0
         z = 2.0 * (2.0 - math.exp(x))  # >= 1 here
-        point = AsymptoticPoint(x, y, z + 0.01)
-        value = asymptotic_general(point)
+        value = _asymptotic_ratio(x, y, z + 0.01)
         num = x + y + math.log((z + 0.01) * math.exp(y) - 2.0)
         den = 2.0 * math.exp(x) - x - 2.0 - y + (z + 0.01) * (math.exp(y) - 1.0)
         assert value == pytest.approx(num / den, rel=1e-13)
-
-    def test_standing_assumption_enforced(self):
-        with pytest.raises(ConstraintViolation):
-            AsymptoticPoint(0.5, 1.0, 2.1)
-        with pytest.raises(ConstraintViolation):
-            AsymptoticPoint(0.3, 1.0, 0.0)
-        with pytest.raises(ConstraintViolation):
-            AsymptoticPoint(-0.1, 1.0, 1.0)
 
 
 def _terms(x, y, z):
@@ -359,7 +347,7 @@ class TestAsymptoticRatioReference:
             cases.add(_integral_case(y, z))
             negative_z += z < 0.0
             expected = _reference_ratio(x, y, z)
-            value = asymptotic_general(AsymptoticPoint(x, y, z))
+            value = _asymptotic_ratio(x, y, z)
             assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
         if region == "x > ln 2":
             assert cases == {"z >= 1", "z <= e^-y", "split"} and negative_z > 0

@@ -472,7 +472,7 @@ class TestPushCheck:
         assert record.curve_supremum == pytest.approx(1.37000530, abs=1e-7)
 
     def test_constrained_slice_respects_supremum(self):
-        from weaktype.functionals import AsymptoticPoint, asymptotic_general
+        from weaktype.functionals import _asymptotic_ratio
 
         supremum = curve_supremum()
         for x in np.linspace(0.41, 0.68, 12):
@@ -481,7 +481,7 @@ class TestPushCheck:
                 y = -math.log(z) + math.log(scale)
                 if y <= 0.0:
                     continue
-                value = asymptotic_general(AsymptoticPoint(float(x), float(y), z))
+                value = _asymptotic_ratio(float(x), float(y), z)
                 assert value <= supremum + 1e-9
 
     @pytest.mark.parametrize("resolution", [16, 32])

@@ -100,3 +100,27 @@ class TestJsonReport:
         assert entry["seed"] == 5
         for detail in entry["details"]:
             assert set(detail) == {"input", "residual"}
+
+
+class TestCollector:
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_nan_entry_fails_in_any_position(self, order):
+        values = {"a": 0.5, "b": math.nan}
+        collector = verify._Collector()
+        for name in order:
+            collector.metric(name, values[name], 1.0)
+        report = collector.report("suite", 0)
+        assert report.status is Status.FAIL
+        assert math.isnan(report.worst_residual)
+        assert report.details[0][0] == "b" and math.isnan(report.details[0][1])
+        assert report.details[1] == ("a", 0.5)
+
+    def test_finite_entries_rank_worst_first_ties_in_order(self):
+        collector = verify._Collector()
+        for name, value in [("p", 0.1), ("q", 0.3), ("r", 0.3), ("s", 0.0),
+                            ("t", 0.2), ("u", 0.05), ("v", 0.25)]:
+            collector.metric(name, value, 1.0)
+        report = collector.report("suite", 0)
+        assert report.status is Status.PASS
+        assert report.worst_residual == 0.3
+        assert [name for name, _ in report.details] == ["q", "r", "v", "t", "p"]
