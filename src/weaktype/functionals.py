@@ -7,8 +7,9 @@ The general-family ratios add the mass-overshoot
 corrections b_hat and d_hat, and take the L1 norm of the second piece from
 ``l1_norm``.  The large-m closed forms on the (x, y, z) coordinates live
 here too: ``asymptotic_restricted``, and the general ratio
-``_asymptotic_ratio``, one numpy function over arrays of y and z that
-``optimize.push_check`` evaluates slab by slab.
+``_asymptotic_ratio``, numpy over arrays of y and z.  It is composed of a
+y-free part, ``_y_free_terms``, and a y part, ``_y_terms``, so that
+``optimize.push_check`` builds the (x, z) plane once and sweeps y over it.
 
 As in ``families``, the adjoint families are the forward ones at kernel
 exponent k = -1 - m/2 instead of k = m/2, with the intervals mirrored
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,35 +210,90 @@ def asymptotic_restricted(x: float, y: float) -> float:
     return (x + y) / denominator
 
 
+class _YFreeTerms(NamedTuple):
+    """The terms of the large-m general ratio that do not depend on y."""
+
+    z: np.ndarray
+    x_hat: np.ndarray
+    constant: np.ndarray  # 2e^x - x - 2: the denominator less the integral
+    neg_two_log_z: np.ndarray  # of the split branch; finite where z <= 0
+    z_at_least_1: np.ndarray  # where the integral takes its z >= 1 branch
+
+
+def _per_x(fn, x) -> np.ndarray:
+    """``fn``, a ``math`` function, at each x.
+
+    numpy's array exp differs from ``math.exp`` in the last bit at some x.
+    """
+    return np.reshape([fn(v) for v in np.ravel(x)], np.shape(x))
+
+
+def _y_free_terms(x, z) -> _YFreeTerms:
+    """The y-free terms at x, a scalar or a column, over z broadcasting against it."""
+    z = np.asarray(z, dtype=float)
+    ex = _per_x(math.exp, x)
+    base = _per_x(math.log, 2.0 * ex - 2.0)
+    with np.errstate(divide="ignore"):
+        shifted = base - np.log(2.0 - z)
+    x_hat = x + np.minimum(np.maximum(0.0, base), shifted)
+    neg_two_log_z = -2.0 * np.log(np.maximum(z, 1e-300))
+    return _YFreeTerms(z, x_hat, 2.0 * ex - x - 2.0, neg_two_log_z, z >= 1.0)
+
+
+def _y_terms(free: _YFreeTerms, y, ey, e_neg_y, y_hat, integral) -> None:
+    """Write y_hat and int_0^y |-1 + z e^s| ds over ``free.z`` into the buffers.
+
+    ``y`` and its ``ey`` = e^y and ``e_neg_y`` = e^-y are scalars or arrays
+    broadcasting against z, and the buffers have the broadcast shape.  Every
+    term is elementwise.  The integral splits at s = -ln z: the split branch
+    is written everywhere, then the z <= e^-y and z >= 1 branches over it.
+    """
+    z = free.z
+    np.multiply(z, ey + 1.0, out=y_hat)
+    np.subtract(free.neg_two_log_z, y, out=integral)
+    integral += y_hat
+    integral -= 2.0
+    np.multiply(z, ey - 1.0, out=y_hat)
+    np.subtract(y, y_hat, out=integral, where=z <= e_neg_y)
+    np.subtract(y_hat, y, out=integral, where=free.z_at_least_1)
+    np.multiply(z, ey, out=y_hat)
+    y_hat -= 2.0
+    np.abs(y_hat, out=y_hat)
+    np.maximum(y_hat, 1.0, out=y_hat)  # so the log is 0 where |z e^y - 2| <= 1
+    np.log(y_hat, out=y_hat)
+    y_hat += y
+
+
+def _ratio_at_y(free: _YFreeTerms, y, ey, e_neg_y, y_hat, integral) -> np.ndarray:
+    """(x_hat + y_hat) / (2e^x - x - 2 + integral), written over ``y_hat``."""
+    _y_terms(free, y, ey, e_neg_y, y_hat, integral)
+    y_hat += free.x_hat
+    integral += free.constant
+    y_hat /= integral
+    return y_hat
+
+
+def _buffers(free: _YFreeTerms, y) -> tuple[np.ndarray, np.ndarray]:
+    shape = np.broadcast_shapes(np.shape(y), free.z.shape, free.x_hat.shape)
+    return np.empty(shape), np.empty(shape)
+
+
 def _asymptotic_terms(x: float, y, z):
     """x_hat, y_hat and int_0^y |-1 + z e^s| ds of the general ratio.
 
     ``x`` is a scalar; ``y`` is a scalar or an array broadcasting against
-    ``z``, such as a column for a (y, z) slab.  Every term is elementwise, so a
-    slab gives the values of one call per y.  The integral splits at s = -ln z.
+    ``z``.  Every term is elementwise.
     """
-    ey = np.exp(y)
-    e_neg_y = np.exp(np.negative(y))
-    base = math.log(2.0 * math.exp(x) - 2.0)
-    with np.errstate(divide="ignore"):
-        shifted = base - np.log(2.0 - z)
-    x_hat = x + np.minimum(np.maximum(0.0, base), shifted)
-    magnitude = np.abs(-2.0 + z * ey)
-    y_hat = y + np.where(magnitude > 1.0, np.log(np.maximum(magnitude, 1e-300)), 0.0)
-    integral = np.where(
-        z >= 1.0,
-        -y + z * (ey - 1.0),
-        np.where(
-            z <= e_neg_y,
-            y - z * (ey - 1.0),
-            -2.0 * np.log(np.maximum(z, 1e-300)) - y + z * (ey + 1.0) - 2.0,
-        ),
-    )
-    return x_hat, y_hat, integral
+    free = _y_free_terms(x, z)
+    y_hat, integral = _buffers(free, y)
+    _y_terms(free, y, np.exp(y), np.exp(np.negative(y)), y_hat, integral)
+    return free.x_hat, y_hat, integral
 
 
 def _asymptotic_ratio(x: float, y, z):
     """Large-m ratio of the general family at fixed x over arrays of y and z."""
-    x_hat, y_hat, integral = _asymptotic_terms(x, y, z)
-    return (x_hat + y_hat) / (2.0 * math.exp(x) - x - 2.0 + integral)
-
+    free = _y_free_terms(x, z)
+    ratio = _ratio_at_y(
+        free, y, np.exp(y), np.exp(np.negative(y)), *_buffers(free, y)
+    )
+    return ratio[()]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from weaktype import families, functionals, optimize
+from weaktype import families, functionals, optimize, verify
 from weaktype.families import (
     B_SP,
     B_STAR_SP,
@@ -484,7 +484,7 @@ class TestPushCheck:
                 value = _asymptotic_ratio(float(x), float(y), z)
                 assert value <= supremum + 1e-9
 
-    @pytest.mark.parametrize("resolution", [16, 32])
+    @pytest.mark.parametrize("resolution", [16, 17, 32, 128])
     def test_slabs_match_scalar_loop(self, resolution):
         from weaktype.functionals import _asymptotic_ratio
 
@@ -504,6 +504,14 @@ class TestPushCheck:
         assert record.max_violation == worst - curve_supremum()
         assert record.worst_point == worst_point
 
+    def test_recorded_output_at_production_resolution(self):
+        record = push_check(128)
+        assert record.max_violation == float.fromhex("-0x1.c77014c4a2000p-13")
+        assert record.worst_point == (
+            0.5433079055118111, 1.14173305511811, 0.5566147008365658
+        )
+        assert record.ray_check_ok is True
+
     def test_finer_grid_never_finds_excess(self):
         coarse = push_check(16)
         fine = push_check(48)
@@ -514,6 +522,89 @@ class TestPushCheck:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             push_check(8)
+
+    @pytest.mark.parametrize(
+        "resolution", [15, 1025, 10**9, 128.0, True, "128", None]
+    )
+    def test_bad_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            push_check(resolution)
+
+    def test_nan_on_grid_fails_the_check(self, monkeypatch):
+        ratio_at_y = functionals._ratio_at_y
+        calls = []
+
+        def one_nan(*args):
+            plane = ratio_at_y(*args)
+            calls.append(None)
+            if len(calls) == 5:
+                plane[3, 7] = math.nan
+            return plane
+
+        monkeypatch.setattr(functionals, "_ratio_at_y", one_nan)
+        record = push_check(16)
+        assert math.isnan(record.max_violation)
+        assert record.worst_point[:2] == (
+            np.linspace(1e-6, 3.0, 16)[3], np.linspace(1e-6, 5.0, 16)[4]
+        )
+        calls.clear()
+        (report,) = verify.run_suite(["push"], 0)
+        assert report.status is verify.Status.FAIL
+
+    def test_nan_at_a_ray_end_fails_the_ray_check(self, monkeypatch):
+        ratio = functionals._asymptotic_ratio
+
+        def nan_far_out(x, y, z):
+            value = ratio(x, y, z)
+            return np.full_like(value, math.nan) if x > 8.0 else value
+
+        monkeypatch.setattr(functionals, "_asymptotic_ratio", nan_far_out)
+        assert push_check(16).ray_check_ok is False
+
+
+class TestFirstMax:
+    @staticmethod
+    def _reference(stack):
+        """np.argmax over the (x, y, z) array: first maximum, NaN highest."""
+        ix, iy, iz = np.unravel_index(int(np.argmax(stack)), stack.shape)
+        return stack[ix, iy, iz], (int(ix), int(iy), int(iz))
+
+    @staticmethod
+    def _first_max(stack):
+        return optimize._first_max(stack[:, iy, :] for iy in range(stack.shape[1]))
+
+    def test_ties_across_y_steps(self):
+        stack = np.zeros((4, 5, 3))
+        stack[2, 1, 2] = stack[2, 3, 0] = stack[1, 4, 1] = stack[3, 0, 0] = 1.0
+        assert self._first_max(stack) == (1.0, (1, 4, 1)) == self._reference(stack)
+        stack[1, 4, 1] = 0.5
+        assert self._first_max(stack) == (1.0, (2, 1, 2)) == self._reference(stack)
+
+    def test_equal_x_keeps_the_earlier_y(self):
+        stack = np.zeros((3, 4, 3))
+        stack[1, 3, 0] = stack[1, 2, 2] = 2.0
+        assert self._first_max(stack) == (2.0, (1, 2, 2)) == self._reference(stack)
+
+    def test_one_nan_beats_every_number(self):
+        stack = np.zeros((4, 5, 3))
+        stack[0, 0, 0] = 9.0
+        stack[3, 4, 2] = math.nan
+        value, index = self._first_max(stack)
+        assert math.isnan(value) and index == (3, 4, 2)
+        assert index == self._reference(stack)[1]
+
+    def test_random_ties_match_argmax(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            stack = rng.integers(0, 3, size=(5, 6, 4)).astype(float)
+            if rng.random() < 0.3:
+                stack[tuple(rng.integers(0, n) for n in stack.shape)] = math.nan
+            value, index = self._first_max(stack)
+            expected_value, expected_index = self._reference(stack)
+            assert index == expected_index
+            assert value == expected_value or (
+                math.isnan(value) and math.isnan(expected_value)
+            )
 
 
 class TestAuxSuprema:
