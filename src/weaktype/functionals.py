@@ -6,10 +6,11 @@ a single interval and the L1 norm has an explicit primitive, so the ratio
 The general-family ratios add the mass-overshoot
 corrections b_hat and d_hat, and take the L1 norm of the second piece from
 ``l1_norm``.  The large-m closed forms on the (x, y, z) coordinates live
-here too: ``asymptotic_restricted``, and the general ratio
-``_asymptotic_ratio``, numpy over arrays of y and z.  It is composed of a
-y-free part, ``_y_free_terms``, and a y part, ``_y_terms``, so that
-``optimize.push_check`` builds the (x, z) plane once and sweeps y over it.
+here too: ``asymptotic_restricted``, and the general ratio, numpy over
+arrays of z.  Its one home is the generator ``_ratio_planes``, which builds
+the terms free of y once on an (x, z) plane and yields the ratio plane for
+each y in turn; ``optimize.push_check`` sweeps its grid with it, and
+``_asymptotic_ratio`` is its first plane at a single y.
 
 As in ``families``, the adjoint families are the forward ones at kernel
 exponent k = -1 - m/2 instead of k = m/2, with the intervals mirrored
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,39 +99,35 @@ def _W(b: float, d: float, k: float, denominator: float) -> float:
     return families._orientation(k) * (d - 1.0) / denominator
 
 
-def w_denominator(b: float, d: float, m: int) -> float:
-    """L1 norm of the restricted function with parameters (b, d)."""
-    return _w_denominator(b, d, m / 2.0)
-
-
 def W(b: float, d: float, m: int) -> float:
     """Closed-form ratio (d - 1) / L1 for the restricted family.
 
     Accepts any (b, d) in the closure of the feasible region; rejects only a
     nonpositive denominator.
     """
-    return _W(b, d, _forward_k(m), w_denominator(b, d, m))
-
-
-def w_star_denominator(b_star: float, d_star: float, m: int) -> float:
-    """L1 norm of the adjoint restricted function with parameters (b*, d*)."""
-    return _w_denominator(b_star, d_star, -1.0 - m / 2.0)
+    k = _forward_k(m)
+    return _W(b, d, k, _w_denominator(b, d, k))
 
 
 def W_star(b_star: float, d_star: float, m: int) -> float:
     """Closed-form ratio (1 - d*) / L1 for the adjoint restricted family."""
-    return _W(b_star, d_star, _adjoint_k(m), w_star_denominator(b_star, d_star, m))
+    k = _adjoint_k(m)
+    return _W(b_star, d_star, k, _w_denominator(b_star, d_star, k))
 
 
 def gill_bound(m: float) -> float:
     """The previously conjectured value m * 2^(2/(2+m)) / ((2+m)(2 - 2^(2/(2+m)))).
 
-    Defined for real m > 0; tends to 1/ln 2 as m -> 0+ and to 1 as m -> inf.
+    Defined for real finite m > 0; tends to 1/ln 2 as m -> 0+ and to 1 as
+    m -> inf.  The factor 2 - 2^(2/(2+m)) is taken as -2 expm1(-m ln 2 / (2+m)),
+    which does not cancel as m -> 0+.
     """
     if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
+    if m == math.inf:
+        raise ValueError(f"m must be finite, got {m}")
     root = 2.0 ** (2.0 / (2.0 + m))
-    return m * root / ((2.0 + m) * (2.0 - root))
+    return m * root / ((2.0 + m) * -2.0 * math.expm1(-m * LOG_2 / (2.0 + m)))
 
 
 # --- general-family ratios ----------------------------------------------------
@@ -210,16 +206,6 @@ def asymptotic_restricted(x: float, y: float) -> float:
     return (x + y) / denominator
 
 
-class _YFreeTerms(NamedTuple):
-    """The terms of the large-m general ratio that do not depend on y."""
-
-    z: np.ndarray
-    x_hat: np.ndarray
-    constant: np.ndarray  # 2e^x - x - 2: the denominator less the integral
-    neg_two_log_z: np.ndarray  # of the split branch; finite where z <= 0
-    z_at_least_1: np.ndarray  # where the integral takes its z >= 1 branch
-
-
 def _per_x(fn, x) -> np.ndarray:
     """``fn``, a ``math`` function, at each x.
 
@@ -228,72 +214,47 @@ def _per_x(fn, x) -> np.ndarray:
     return np.reshape([fn(v) for v in np.ravel(x)], np.shape(x))
 
 
-def _y_free_terms(x, z) -> _YFreeTerms:
-    """The y-free terms at x, a scalar or a column, over z broadcasting against it."""
+def _ratio_planes(x, z, ys):
+    """Large-m ratio of the general family on the (x, z) plane, one plane per y.
+
+    ``x`` is a scalar or a column broadcasting against ``z``.  The y-free
+    terms are built once; each plane is then written in place over the same
+    buffer, so read it before drawing the next.  The buffers follow the
+    memory order of the y-free terms, and so of ``z``.  The ratio is
+    (x_hat + y_hat) / (2e^x - x - 2 + int_0^y |-1 + z e^s| ds), every term
+    elementwise.  The integral splits at s = -ln z: the split branch is
+    written everywhere, then the z <= e^-y and z >= 1 branches over it.
+    """
     z = np.asarray(z, dtype=float)
     ex = _per_x(math.exp, x)
     base = _per_x(math.log, 2.0 * ex - 2.0)
+    # one expression, so that the generator's frame keeps no extra plane alive
     with np.errstate(divide="ignore"):
-        shifted = base - np.log(2.0 - z)
-    x_hat = x + np.minimum(np.maximum(0.0, base), shifted)
-    neg_two_log_z = -2.0 * np.log(np.maximum(z, 1e-300))
-    return _YFreeTerms(z, x_hat, 2.0 * ex - x - 2.0, neg_two_log_z, z >= 1.0)
+        x_hat = x + np.minimum(np.maximum(0.0, base), base - np.log(2.0 - z))
+    constant = 2.0 * ex - x - 2.0  # the denominator less the integral
+    neg_two_log_z = -2.0 * np.log(np.maximum(z, 1e-300))  # finite where z <= 0
+    z_at_least_1 = z >= 1.0
+    y_hat, integral = np.empty_like(x_hat), np.empty_like(x_hat)
+    for y, ey, e_neg_y in zip(ys, np.exp(ys), np.exp(np.negative(ys))):
+        np.multiply(z, ey + 1.0, out=y_hat)
+        np.subtract(neg_two_log_z, y, out=integral)
+        integral += y_hat
+        integral -= 2.0
+        np.multiply(z, ey - 1.0, out=y_hat)
+        np.subtract(y, y_hat, out=integral, where=z <= e_neg_y)
+        np.subtract(y_hat, y, out=integral, where=z_at_least_1)
+        np.multiply(z, ey, out=y_hat)
+        y_hat -= 2.0
+        np.abs(y_hat, out=y_hat)
+        np.maximum(y_hat, 1.0, out=y_hat)  # so the log is 0 where |z e^y - 2| <= 1
+        np.log(y_hat, out=y_hat)
+        y_hat += y
+        y_hat += x_hat
+        integral += constant
+        y_hat /= integral
+        yield y_hat
 
 
-def _y_terms(free: _YFreeTerms, y, ey, e_neg_y, y_hat, integral) -> None:
-    """Write y_hat and int_0^y |-1 + z e^s| ds over ``free.z`` into the buffers.
-
-    ``y`` and its ``ey`` = e^y and ``e_neg_y`` = e^-y are scalars or arrays
-    broadcasting against z, and the buffers have the broadcast shape.  Every
-    term is elementwise.  The integral splits at s = -ln z: the split branch
-    is written everywhere, then the z <= e^-y and z >= 1 branches over it.
-    """
-    z = free.z
-    np.multiply(z, ey + 1.0, out=y_hat)
-    np.subtract(free.neg_two_log_z, y, out=integral)
-    integral += y_hat
-    integral -= 2.0
-    np.multiply(z, ey - 1.0, out=y_hat)
-    np.subtract(y, y_hat, out=integral, where=z <= e_neg_y)
-    np.subtract(y_hat, y, out=integral, where=free.z_at_least_1)
-    np.multiply(z, ey, out=y_hat)
-    y_hat -= 2.0
-    np.abs(y_hat, out=y_hat)
-    np.maximum(y_hat, 1.0, out=y_hat)  # so the log is 0 where |z e^y - 2| <= 1
-    np.log(y_hat, out=y_hat)
-    y_hat += y
-
-
-def _ratio_at_y(free: _YFreeTerms, y, ey, e_neg_y, y_hat, integral) -> np.ndarray:
-    """(x_hat + y_hat) / (2e^x - x - 2 + integral), written over ``y_hat``."""
-    _y_terms(free, y, ey, e_neg_y, y_hat, integral)
-    y_hat += free.x_hat
-    integral += free.constant
-    y_hat /= integral
-    return y_hat
-
-
-def _buffers(free: _YFreeTerms, y) -> tuple[np.ndarray, np.ndarray]:
-    shape = np.broadcast_shapes(np.shape(y), free.z.shape, free.x_hat.shape)
-    return np.empty(shape), np.empty(shape)
-
-
-def _asymptotic_terms(x: float, y, z):
-    """x_hat, y_hat and int_0^y |-1 + z e^s| ds of the general ratio.
-
-    ``x`` is a scalar; ``y`` is a scalar or an array broadcasting against
-    ``z``.  Every term is elementwise.
-    """
-    free = _y_free_terms(x, z)
-    y_hat, integral = _buffers(free, y)
-    _y_terms(free, y, np.exp(y), np.exp(np.negative(y)), y_hat, integral)
-    return free.x_hat, y_hat, integral
-
-
-def _asymptotic_ratio(x: float, y, z):
-    """Large-m ratio of the general family at fixed x over arrays of y and z."""
-    free = _y_free_terms(x, z)
-    ratio = _ratio_at_y(
-        free, y, np.exp(y), np.exp(np.negative(y)), *_buffers(free, y)
-    )
-    return ratio[()]
+def _asymptotic_ratio(x: float, y: float, z):
+    """Large-m ratio of the general family at fixed x and y over an array of z."""
+    return next(_ratio_planes(x, z, [y]))[()]

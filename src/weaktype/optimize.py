@@ -183,7 +183,7 @@ def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
     """
     b, d = _feasibility_map(m)(ticks[:, None], ticks)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denominator = functionals.w_denominator(b, d, m)
+        denominator = functionals._w_denominator(b, d, _forward_k(m))
         feasible = np.isfinite(denominator) & (denominator > 0.0)
         return np.where(feasible, (d - 1.0) / denominator, -math.inf)
 
@@ -472,9 +472,9 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
     """Max over the grid x <= 3, y <= 5 of (general asymptotic ratio - curve supremum).
 
     A nonpositive result (up to grid tolerance) means no admissible (x, y, z)
-    beats the curve supremum.  Each x has its own z grid, so the y-free terms
-    are built once on the (x, z) plane and y sweeps over it, reusing two
-    planes in place.  The first maximum in (x, y, z) order wins ties.
+    beats the curve supremum.  Each x has its own z grid; the ratio is drawn
+    one (x, z) plane per y from ``functionals._ratio_planes``, and the first
+    maximum in (x, y, z) order wins ties.
     """
     if not (isinstance(grid_resolution, int)
             and 16 <= grid_resolution <= _PUSH_MAX_RESOLUTION):  # bools are < 16
@@ -488,13 +488,7 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
     ys = np.linspace(1e-6, y_cap, grid_resolution)
     z_lo = 2.0 * (2.0 - functionals._per_x(math.exp, xs))
     zs = np.linspace(z_lo, 2.0 - 1e-9, grid_resolution, axis=1)
-    free = functionals._y_free_terms(xs[:, None], zs)
-    y_hat, integral = np.empty_like(zs), np.empty_like(zs)
-    planes = (
-        functionals._ratio_at_y(free, y, ey, e_neg_y, y_hat, integral)
-        for y, ey, e_neg_y in zip(ys, np.exp(ys), np.exp(np.negative(ys)))
-    )
-    worst, (ix, iy, iz) = _first_max(planes)
+    worst, (ix, iy, iz) = _first_max(functionals._ratio_planes(xs[:, None], zs, ys))
     ratio = functionals._asymptotic_ratio
     ray_zs = np.array([0.5, 1.0, 1.9])
     ray_ok = all(

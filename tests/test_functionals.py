@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,6 @@ from weaktype.functionals import (
     W,
     W_star,
     _asymptotic_ratio,
-    _asymptotic_terms,
     asymptotic_restricted,
     general_ratio,
     general_ratio_star,
@@ -92,6 +92,19 @@ class TestGillBound:
 
     def test_small_m_limit(self):
         assert gill_bound(1e-6) == pytest.approx(1.4427, abs=1e-3)
+
+    @pytest.mark.parametrize("m", [1e-8, 1e-12, 1e-300])
+    def test_small_m_against_mpmath(self, m):
+        # 2 - 2^(2/(2+m)) loses about -log10(m) digits; 340 leave 40 at 1e-300
+        with mpmath.workdps(340):
+            mp_m = mpmath.mpf(m)
+            root = mpmath.mpf(2) ** (2 / (2 + mp_m))
+            exact = float(mp_m * root / ((2 + mp_m) * (2 - root)))
+        assert gill_bound(m) == pytest.approx(exact, rel=1e-14)
+
+    def test_infinite_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be finite, got inf"):
+            gill_bound(math.inf)
 
 
 class TestGeneralRatio:
@@ -243,44 +256,6 @@ class TestAsymptoticGeneral:
         assert value == pytest.approx(num / den, rel=1e-13)
 
 
-def _terms(x, y, z):
-    """(x_hat, y_hat, integral) from the array implementation, as floats."""
-    return tuple(float(term) for term in _asymptotic_terms(x, y, z))
-
-
-class TestCaseSeams:
-    """The piecewise formulas agree where their cases meet."""
-
-    def test_x_hat_seams(self):
-        # at x = ln(3/2) only z >= 1 is admissible and both cases give x
-        for z in (1.0, 1.5, 2.0):
-            x_hat, _, _ = _terms(LOG_32, 1.0, z)
-            assert x_hat == pytest.approx(LOG_32, abs=1e-12)
-        # z = 1 for x >= ln(3/2): the shifted branch loses its shift
-        x = 0.6
-        base = math.log(2.0 * math.exp(x) - 2.0)
-        x_hat, _, _ = _terms(x, 1.0, 1.0)
-        assert x_hat == pytest.approx(x + base, abs=1e-12)
-
-    def test_y_hat_seams(self):
-        y = 0.9
-        _, y_hat, _ = _terms(0.6, y, math.exp(-y))
-        assert y_hat == pytest.approx(y, abs=1e-12)
-        _, y_hat, _ = _terms(0.6, y, 3.0 * math.exp(-y))
-        assert y_hat == pytest.approx(y, abs=1e-12)
-
-    def test_integral_seams(self):
-        y = 0.8
-        # z = 1: both the monotone and the split branch agree
-        _, _, integral = _terms(0.6, y, 1.0)
-        assert integral == pytest.approx(-y + (math.exp(y) - 1.0), abs=1e-12)
-        z = math.exp(-y)
-        split = -2.0 * math.log(z) - y + z * (math.exp(y) + 1.0) - 2.0
-        _, _, integral = _terms(0.6, y, z)
-        assert integral == pytest.approx(split, abs=1e-12)
-        assert integral == pytest.approx(y - z * (math.exp(y) - 1.0), abs=1e-12)
-
-
 # Scalar case formulas of the general asymptotic ratio, one math call per
 # term; a reference for the array implementation in functionals.
 
@@ -307,6 +282,51 @@ def _reference_ratio(x: float, y: float, z: float) -> float:
     numerator = _reference_x_hat(x, z) + _reference_y_hat(y, z)
     denominator = 2.0 * math.exp(x) - x - 2.0 + _reference_abs_exp_integral(y, z)
     return numerator / denominator
+
+
+class TestCaseSeams:
+    """The scalar case formulas agree where their cases meet."""
+
+    def test_x_hat_seams(self):
+        # at x = ln(3/2) only z >= 1 is admissible and both cases give x
+        for z in (1.0, 1.5, 2.0):
+            assert _reference_x_hat(LOG_32, z) == pytest.approx(LOG_32, abs=1e-12)
+        # z = 1 for x >= ln(3/2): the shifted branch loses its shift
+        x = 0.6
+        base = math.log(2.0 * math.exp(x) - 2.0)
+        assert _reference_x_hat(x, 1.0) == pytest.approx(x + base, abs=1e-12)
+
+    def test_y_hat_seams(self):
+        y = 0.9
+        assert _reference_y_hat(y, math.exp(-y)) == pytest.approx(y, abs=1e-12)
+        assert _reference_y_hat(y, 3.0 * math.exp(-y)) == pytest.approx(y, abs=1e-12)
+
+    def test_integral_seams(self):
+        def split(y, z):
+            return -2.0 * math.log(z) - y + z * (math.exp(y) + 1.0) - 2.0
+
+        y = 0.8
+        # z = 1: both the monotone and the split branch agree
+        integral = _reference_abs_exp_integral(y, 1.0)
+        assert integral == pytest.approx(-y + (math.exp(y) - 1.0), abs=1e-12)
+        assert integral == pytest.approx(split(y, 1.0), abs=1e-12)
+        z = math.exp(-y)
+        integral = _reference_abs_exp_integral(y, z)
+        assert integral == pytest.approx(split(y, z), abs=1e-12)
+        assert integral == pytest.approx(y - z * (math.exp(y) - 1.0), abs=1e-12)
+
+
+# The points of TestCaseSeams, as (x, y, z)
+_SEAM_POINTS = {
+    "x_hat x=ln(3/2) z=1": (LOG_32, 1.0, 1.0),
+    "x_hat x=ln(3/2) z=1.5": (LOG_32, 1.0, 1.5),
+    "x_hat x=ln(3/2) z=2": (LOG_32, 1.0, 2.0),
+    "x_hat z=1": (0.6, 1.0, 1.0),
+    "y_hat z=e^-y": (0.6, 0.9, math.exp(-0.9)),
+    "y_hat z=3e^-y": (0.6, 0.9, 3.0 * math.exp(-0.9)),
+    "integral z=1": (0.6, 0.8, 1.0),
+    "integral z=e^-y": (0.6, 0.8, math.exp(-0.8)),
+}
 
 
 def _integral_case(y: float, z: float) -> str:
@@ -353,6 +373,11 @@ class TestAsymptoticRatioReference:
             assert cases == {"z >= 1", "z <= e^-y", "split"} and negative_z > 0
         elif region != "z = 2 - 1e-9":
             assert cases == {region}
+
+    @pytest.mark.parametrize("point", _SEAM_POINTS.values(), ids=_SEAM_POINTS.keys())
+    def test_case_seams_match_scalar_reference(self, point):
+        expected = _reference_ratio(*point)
+        assert _asymptotic_ratio(*point) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestOracleEquivalenceSweep:

@@ -287,7 +287,7 @@ def test_forward_restricted_bitwise(seed):
         assert families.d_min(b, m) == _ref_t_0(b, m)
         assert families.d_max(b, m) == _ref_d_max(b, m)
         assert families._spec_D(b, m / 2.0) == _ref_spec_D(b, m)
-        assert functionals.w_denominator(b, d, m) == _ref_w_denominator(b, d, m)
+        assert functionals._w_denominator(b, d, m / 2.0) == _ref_w_denominator(b, d, m)
         assert functionals.W(b, d, m) == _ref_W(b, d, m)
         assert optimize.d_opt(b, m) == _ref_d_opt(b, m)
         assert _pieces(families.build_spec(FSpecParams(m, b, d))) == _pieces(
@@ -302,7 +302,7 @@ def test_forward_w_denominator_arrays_bitwise():
         d = np.array([p[2] for p in points if p[0] == m])
         grid_b, grid_d = b[:, None], d[None, :]
         with np.errstate(invalid="ignore"):
-            got = functionals.w_denominator(grid_b, grid_d, m)
+            got = functionals._w_denominator(grid_b, grid_d, m / 2.0)
             want = _ref_w_denominator(grid_b, grid_d, m)
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -331,7 +331,7 @@ def test_adjoint_restricted_matches_reference(seed):
             (families.d_star_max(bs, m), _ref_t_0_star(bs, m)),
             (families.d_star_min(bs, m), _ref_d_star_min(bs, m)),
             (families._spec_D(bs, -1.0 - m / 2.0), _ref_star_spec_D(bs, m)),
-            (functionals.w_star_denominator(bs, ds, m),
+            (functionals._w_denominator(bs, ds, -1.0 - m / 2.0),
              _ref_w_star_denominator(bs, ds, m)),
             (functionals.W_star(bs, ds, m), _ref_W_star(bs, ds, m)),
             (optimize.d_star_opt(bs, m), _ref_d_star_opt(bs, m)),

@@ -154,16 +154,16 @@ class TestMaximizeWGrid:
         ticks = np.linspace(0.0, 1.0, resolution)
         _, (i, j) = _loop_grid(m, resolution)
         b_win, d_win = _cell(m, ticks[i], ticks[j])
-        true_denominator = functionals.w_denominator
+        true_denominator = functionals._w_denominator
 
-        def patched(b, d, m):
+        def patched(b, d, k):
             # cells with d near or above the unpatched winner's are infeasible:
             # a negative denominator for smaller b, NaN for the rest
-            denominator = true_denominator(b, d, m)
+            denominator = true_denominator(b, d, k)
             bad = np.where(b < b_win, -denominator, math.nan)
             return np.where(d < d_win * (1.0 - 1e-9), denominator, bad)
 
-        monkeypatch.setattr(functionals, "w_denominator", patched)
+        monkeypatch.setattr(functionals, "_w_denominator", patched)
         b, d = np.broadcast_arrays(*_cell(m, ticks[:, None], ticks))
         grid = _grid_values(m, ticks)
         cut = d >= d_win * (1.0 - 1e-9)
@@ -531,25 +531,38 @@ class TestPushCheck:
             push_check(resolution)
 
     def test_nan_on_grid_fails_the_check(self, monkeypatch):
-        ratio_at_y = functionals._ratio_at_y
-        calls = []
+        ratio_planes = functionals._ratio_planes
 
-        def one_nan(*args):
-            plane = ratio_at_y(*args)
-            calls.append(None)
-            if len(calls) == 5:
-                plane[3, 7] = math.nan
-            return plane
+        def one_nan(x, z, ys):
+            for count, plane in enumerate(ratio_planes(x, z, ys), start=1):
+                if count == 5:
+                    plane[3, 7] = math.nan
+                yield plane
 
-        monkeypatch.setattr(functionals, "_ratio_at_y", one_nan)
+        monkeypatch.setattr(functionals, "_ratio_planes", one_nan)
         record = push_check(16)
         assert math.isnan(record.max_violation)
         assert record.worst_point[:2] == (
             np.linspace(1e-6, 3.0, 16)[3], np.linspace(1e-6, 5.0, 16)[4]
         )
-        calls.clear()
         (report,) = verify.run_suite(["push"], 0)
         assert report.status is verify.Status.FAIL
+
+    def test_planes_follow_the_memory_order_of_z(self, monkeypatch):
+        # push_check's z grid is column-major; planes in another order make
+        # every in-place step of the y sweep stride across memory
+        ratio_planes, strides = functionals._ratio_planes, []
+
+        def spy(x, z, ys):
+            for plane in ratio_planes(x, z, ys):
+                strides.append((z.strides, plane.strides))
+                yield plane
+
+        monkeypatch.setattr(functionals, "_ratio_planes", spy)
+        push_check(32)
+        grid = strides[:32]  # then the ray check's one-plane calls
+        assert all(z == (8, 8 * 32) for z, _ in grid)
+        assert all(plane == z for z, plane in grid)
 
     def test_nan_at_a_ray_end_fails_the_ray_check(self, monkeypatch):
         ratio = functionals._asymptotic_ratio

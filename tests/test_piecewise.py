@@ -123,7 +123,7 @@ class TestL1Norm:
         params = FSpecParams(1, 2.157, 6.623)
         f = build_spec(params)
         assert l1_norm(f) == pytest.approx(
-            functionals.w_denominator(2.157, 6.623, 1), abs=1e-9
+            functionals._w_denominator(2.157, 6.623, 0.5), abs=1e-9
         )
 
 
