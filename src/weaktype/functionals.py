@@ -23,6 +23,7 @@ terms of the L1 norm that come from the fixed piece on the far side of 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +119,18 @@ def W_star(b_star: float, d_star: float, m: int) -> float:
 def gill_bound(m: float) -> float:
     """The previously conjectured value m * 2^(2/(2+m)) / ((2+m)(2 - 2^(2/(2+m)))).
 
-    Defined for real finite m > 0; tends to 1/ln 2 as m -> 0+ and to 1 as
+    Defined for real finite m at least the smallest normal float
+    (``sys.float_info.min``); tends to 1/ln 2 as m -> 0+ and to 1 as
     m -> inf.  The factor 2 - 2^(2/(2+m)) is taken as -2 expm1(-m ln 2 / (2+m)),
-    which does not cancel as m -> 0+.
+    which does not cancel as m -> 0+.  A subnormal m is rejected: there the
+    product m ln 2 loses digits or rounds to 0.
     """
     if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
+    if m < sys.float_info.min:
+        raise ValueError(
+            f"m must be at least the smallest normal float {sys.float_info.min}, got {m}"
+        )
     if m == math.inf:
         raise ValueError(f"m must be finite, got {m}")
     root = 2.0 ** (2.0 / (2.0 + m))

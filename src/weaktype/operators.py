@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,18 +90,17 @@ def _adjoint_k(m: int) -> float:
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """Which operator (forward or adjoint) and its integer parameter m >= 1."""
+    """Which operator (forward or adjoint), its integer parameter m >= 1 and
+    its kernel exponent k: m/2 forward, -1 - m/2 adjoint.  Construction
+    checks m and fixes k, so reading k checks nothing again."""
 
     kind: Kind
     m: int
+    k: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_m(self.m)
-
-    @property
-    def k(self) -> float:
-        """Kernel exponent: m/2 forward, -1 - m/2 adjoint."""
-        return (_forward_k if self.kind is Kind.LAMBDA else _adjoint_k)(self.m)
+        k = (_forward_k if self.kind is Kind.LAMBDA else _adjoint_k)(self.m)
+        object.__setattr__(self, "k", k)
 
 
 def lambda_op(m: int) -> OperatorKind:
@@ -145,11 +144,12 @@ def eigenvalue(op: OperatorKind, alpha: float) -> float:
     return den / num
 
 
-def _integration(op: OperatorKind, f: PiecewisePowerFunction, t: float):
-    """(lo, hi, prefactor) with Tf(t) = prefactor * integral_lo^hi f(s) s**k ds - f(t).
+def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> float:
+    """Exact operator value at ``t > 0`` via closed-form moment integrals.
 
-    The prefactor is (1+2k) t**(-1-k) signed by the orientation of the
-    integral (0 up to t, or infinity down to t), so it is positive.
+    Tf(t) = prefactor * integral_lo^hi f(s) s**k ds - f(t), where the
+    prefactor is (1+2k) t**(-1-k) signed by the orientation of the integral
+    (0 up to t, or infinity down to t), so it is positive.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -158,13 +158,8 @@ def _integration(op: OperatorKind, f: PiecewisePowerFunction, t: float):
         lo, hi, sign = 0.0, t, 1.0
     else:
         lo, hi, sign = t, f.support()[1], -1.0
-    return lo, hi, sign * (1.0 + 2.0 * k) * t ** (-1.0 - k)
-
-
-def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> float:
-    """Exact operator value at ``t > 0`` via closed-form moment integrals."""
-    lo, hi, prefactor = _integration(op, f, t)
-    integral = moment_integral(f, op.k, lo, hi) if lo < hi else 0.0
+    prefactor = sign * (1.0 + 2.0 * k) * t ** (-1.0 - k)
+    integral = moment_integral(f, k, lo, hi) if lo < hi else 0.0
     return prefactor * integral - evaluate(f, t)
 
 
@@ -195,8 +190,9 @@ def apply_quadrature_oracle(
     pieces = [(pc.t_lo, pc.t_hi, pc.c0, pc.c1, pc.p) for pc in f.pieces]
     t_lo, t_hi, c0, c1, p = np.array(pieces, dtype=float).reshape(-1, 5).T
     col, forward = flat[:, None], op.kind is Kind.LAMBDA
-    # _integration on every t: the range (0, t) forward and (t, inf) adjoint,
-    # which the pieces clip, and (1+2k) t**(-1-k) signed by its orientation
+    # apply_closed_form's range and prefactor on every t: (0, t) forward and
+    # (t, inf) adjoint, which the pieces clip, and (1+2k) t**(-1-k) signed by
+    # its orientation
     a = np.maximum(np.zeros_like(col) if forward else col, t_lo)
     b = np.minimum(col if forward else np.full_like(col, np.inf), t_hi)
     prefactor = (1.0 if forward else -1.0) * (1.0 + 2.0 * op.k) * flat ** (-1.0 - op.k)

@@ -193,13 +193,13 @@ def maximize_W(m: int) -> OptimumRecord:
     Nelder-Mead.
 
     The grid is evaluated as one array; ties on it break toward smaller b,
-    then smaller d, and the winning cell is evaluated again by scalar W.  The
+    then smaller d, and the winning cell is the first simplex vertex.  The
     refinement, on scalar W, clips (u, v) to the unit square, so the search
-    never leaves the closure of the feasible region.  ``evaluations`` counts
-    every grid cell and every Nelder-Mead evaluation.  Deterministic for
-    fixed inputs; raises ConvergenceError when Nelder-Mead does not converge.
+    never leaves the closure of the feasible region, and never ends worse
+    than that first vertex.  ``evaluations`` counts every grid cell and every
+    Nelder-Mead evaluation.  Deterministic for fixed inputs; raises
+    ConvergenceError when Nelder-Mead does not converge.
     """
-    _check_m(m)
     to_bd = _feasibility_map(m)
 
     def bd_of(u: float, v: float) -> tuple[float, float]:
@@ -216,21 +216,13 @@ def maximize_W(m: int) -> OptimumRecord:
     row, col = np.unravel_index(
         int(np.argmax(_grid_values(m, ticks))), (ticks.size, ticks.size)
     )
-    # numpy's array pow may differ from libm's in the last bit, so the
-    # fallback below compares against the scalar value of the winning cell
-    best = (value(ticks[row], ticks[col]), ticks[row], ticks[col])
-
     (u_best, v_best), nfev, failure = _nelder_mead(
-        lambda uv: -value(*uv), [float(best[1]), float(best[2])])
+        lambda uv: -value(*uv), [float(ticks[row]), float(ticks[col])])
     if failure is not None:
         raise ConvergenceError(f"Nelder-Mead did not converge for m={m}: {failure}")
     evaluations = ticks.size ** 2 + nfev
     b, d = bd_of(u_best, v_best)
-    final = W(b, d, m)
-    if final < best[0]:
-        b, d = bd_of(best[1], best[2])
-        final = W(b, d, m)
-    return OptimumRecord(m, b, d, final, evaluations)
+    return OptimumRecord(m, b, d, W(b, d, m), evaluations)
 
 
 def _d_opt(b, k: float):

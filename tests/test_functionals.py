@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -105,6 +107,16 @@ class TestGillBound:
     def test_infinite_m_rejected(self):
         with pytest.raises(ValueError, match="m must be finite, got inf"):
             gill_bound(math.inf)
+
+    @pytest.mark.parametrize("m", [1e-320, 5e-324])
+    def test_subnormal_m_rejected(self, m):
+        message = f"m must be at least the smallest normal float {sys.float_info.min}, got {m}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gill_bound(m)
+
+    def test_smallest_normal_m_reaches_the_limit(self):
+        limit = 1.0 / math.log(2.0)
+        assert abs(gill_bound(sys.float_info.min) - limit) <= math.ulp(limit)
 
 
 class TestGeneralRatio:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from weaktype import functionals
+from weaktype import functionals, operators
 from weaktype.families import (
     FSpecParams,
     FStarSpecParams,
@@ -51,6 +51,22 @@ class TestOperatorKind:
     def test_kernel_exponent(self):
         assert lambda_op(3).k == 1.5
         assert lambda_star_op(3).k == -2.5
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_kernel_exponent_matches_the_k_helpers(self, m):
+        assert lambda_op(m).k.hex() == operators._forward_k(m).hex()
+        assert lambda_star_op(m).k.hex() == operators._adjoint_k(m).hex()
+
+    def test_closed_form_checks_m_only_at_construction(self, monkeypatch):
+        forward, adjoint = lambda_op(3), lambda_star_op(3)
+        f = build_spec(mid_spec(3))
+        f_star = build_star_spec(FStarSpecParams(3, 0.7639275686137361, 0.2986008480383443))
+        calls = []
+        monkeypatch.setattr(operators, "_check_m", calls.append)
+        for t in np.linspace(0.25, 4.0, 50):
+            apply_closed_form(forward, f, t)
+            apply_closed_form(adjoint, f_star, t)
+        assert calls == []
 
     @pytest.mark.parametrize("m", [np.int64(3), True, 2.0, 0])
     def test_non_integer_or_small_m_rejected(self, m):
