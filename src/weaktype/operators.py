@@ -132,8 +132,9 @@ def eigenvalue(op: OperatorKind, alpha: float) -> float:
     It is (k - alpha) / (1 + alpha + k) in the kernel exponent k:
     forward (m/2 - alpha) / (1 + alpha + m/2) for alpha > -1 - m/2, and
     adjoint its reciprocal (1 + alpha + m/2) / (m/2 - alpha) for alpha < m/2.
+    m/2 is read off ``op.k``, exactly for every m up to 2**52.
     """
-    half = _forward_k(op.m)
+    half = op.k if op.kind is Kind.LAMBDA else -1.0 - op.k
     num, den = half - alpha, 1.0 + alpha + half
     if op.kind is Kind.LAMBDA:
         if alpha <= -1.0 - half:

@@ -104,11 +104,16 @@ def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return best_x, best_value
 
 
-def _scan_then_refine(fn, grid: np.ndarray, values=None) -> tuple[float, float]:
-    """Refine the first maximum of ``values``, fn on ``grid`` (by default
-    scanned point by point), by golden section between its two neighbours."""
-    index = int(np.argmax([fn(x) for x in grid] if values is None else values))
-    return _golden_max(fn, grid[max(0, index - 1)], grid[min(grid.size - 1, index + 1)])
+def _scan_then_refine(fn, grid: np.ndarray, values) -> tuple[float, float]:
+    """Refine the first maximum of ``values``, fn scanned on ``grid``, by golden
+    section between its two neighbours.
+
+    The bracket ends are grid points taken as Python floats, so every
+    refinement evaluation runs on floats, not numpy scalars.
+    """
+    points = grid.tolist()
+    index = int(np.argmax(values))
+    return _golden_max(fn, points[max(0, index - 1)], points[min(len(points) - 1, index + 1)])
 
 
 class ConvergenceError(RuntimeError):
@@ -163,12 +168,14 @@ def _nelder_mead(fn, x0) -> tuple[list[float], int, str | None]:
 
 def _feasibility_map(m: int):
     """The map (u, v) -> (b, d), scalars or broadcast arrays, from the unit
-    square onto the feasible region; the b-range is computed once."""
-    lo_b, hi_b = families.b_min(m), families.b_max(m)
+    square onto the feasible region; m is checked and the b-range computed
+    once."""
+    k = _forward_k(m)
+    lo_b, hi_b = families._b_near(k), families._b_far(k)
 
     def to_bd(u, v):
         b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
-        d_lo, d_hi = families.d_min(b, m), families.d_max(b, m)
+        d_lo, d_hi = families._t_0(b, k), families._d_far(b, k)
         return b, d_lo + v * (d_hi - d_lo)
 
     return to_bd
@@ -200,15 +207,15 @@ def maximize_W(m: int) -> OptimumRecord:
     Nelder-Mead evaluation.  Deterministic for fixed inputs; raises
     ConvergenceError when Nelder-Mead does not converge.
     """
-    to_bd = _feasibility_map(m)
+    k, to_bd = _forward_k(m), _feasibility_map(m)
 
     def bd_of(u: float, v: float) -> tuple[float, float]:
         return to_bd(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
 
     def value(u: float, v: float) -> float:
         b, d = bd_of(u, v)
-        try:
-            return W(b, d, m)
+        try:  # W's body at the exponent fixed above
+            return functionals._W(b, d, k, functionals._w_denominator(b, d, k))
         except functionals.DenominatorError:
             return -math.inf
 
@@ -300,7 +307,8 @@ def maximize_on_curve(m: int) -> OptimumRecord:
     def value(b: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return W(b, _d_opt(b, k), m)
+        d_at = _d_opt(b, k)
+        return functionals._W(b, d_at, k, functionals._w_denominator(b, d_at, k))
 
     b_best, best = _scan_then_refine(value, grid, (d - 1.0) / denominator)
     return OptimumRecord(m, b_best, _d_opt(b_best, k), best, evaluations)
@@ -511,31 +519,31 @@ class AuxSupremumRecord:
         return self.supremum <= self.bound
 
 
-def _aux_y_branch(y: float) -> float:
-    return (y + math.log(2.0 * math.exp(y) - 2.0)) / (-y + 2.0 * (math.exp(y) - 1.0))
+def _aux_y_branch(y, xp=math):
+    return (y + xp.log(2.0 * xp.exp(y) - 2.0)) / (-y + 2.0 * (xp.exp(y) - 1.0))
 
 
-def _aux_diagonal(x: float) -> float:
-    return x / (4.0 * math.exp(x) - math.exp(2.0 * x) - x - 3.0)
+def _aux_diagonal(x, xp=math):
+    return x / (4.0 * xp.exp(x) - xp.exp(2.0 * x) - x - 3.0)
 
 
-def _aux_curve_branch(x: float) -> float:
-    ex = math.exp(x)
-    return (2.0 * x - math.log(2.0 - ex) + math.log(2.0 * ex - 2.0)) / (
-        2.0 * ex - 2.0 * x - 2.0 * LOG_2 - math.log(2.0 - ex)
+def _aux_curve_branch(x, xp=math):
+    ex = xp.exp(x)
+    return (2.0 * x - xp.log(2.0 - ex) + xp.log(2.0 * ex - 2.0)) / (
+        2.0 * ex - 2.0 * x - 2.0 * LOG_2 - xp.log(2.0 - ex)
     )
 
 
-def _aux_z_edge(z: float) -> float:
-    return (2.0 * LOG_32 + math.log(2.0 / z)) / (
-        4.0 - 2.0 * LOG_32 - math.log(2.0 / z) - z
+def _aux_z_edge(z, xp=math):
+    return (2.0 * LOG_32 + xp.log(2.0 / z)) / (
+        4.0 - 2.0 * LOG_32 - xp.log(2.0 / z) - z
     )
 
 
-def _aux_low_x_branch(x: float) -> float:
+def _aux_low_x_branch(x, xp=math):
     """Second branch paired with the y-branch bound; shares its 1.1 ceiling."""
-    ex = math.exp(x)
-    return (2.0 * x + LOG_2 + math.log(4.0 * (2.0 - ex) * ex - 2.0)) / (
+    ex = xp.exp(x)
+    return (2.0 * x + LOG_2 + xp.log(4.0 * (2.0 - ex) * ex - 2.0)) / (
         2.0 * ex - 2.0 * x - 2.0 - LOG_2 + 2.0 * (2.0 - ex) * (2.0 * ex - 1.0)
     )
 
@@ -552,14 +560,18 @@ _AUX_SPECS = (
 def aux_suprema() -> list[AuxSupremumRecord]:
     """Maximize the five auxiliary one-variable ratios over their intervals.
 
-    Each is scanned at 2000 points and refined by golden section; the
-    reported suprema respect the declared bounds 1.1, 1.18, 1.3, 1.1, 1.1, with
-    the diagonal supremum equal to ln(3/2) / (3/4 - ln(3/2)) attained at the
-    right endpoint.
+    Each is scanned at 2000 points as one numpy array and refined by golden
+    section on Python floats with the ``math`` module.  The scan only picks
+    the bracket; the reported argmax and supremum come from the refinement,
+    so they do not depend on numpy's vectorized exp and log, whose last bit
+    can vary with the numpy build and the CPU.  The reported suprema respect
+    the declared bounds 1.1, 1.18, 1.3, 1.1, 1.1, with the diagonal supremum
+    equal to ln(3/2) / (3/4 - ln(3/2)) attained at the right endpoint.
     """
     out = []
     for name, fn, lo, hi, bound in _AUX_SPECS:
-        argmax, supremum = _scan_then_refine(fn, np.linspace(lo, hi, 2000))
+        grid = np.linspace(lo, hi, 2000)
+        argmax, supremum = _scan_then_refine(fn, grid, fn(grid, np))
         out.append(AuxSupremumRecord(name, lo, hi, argmax, supremum, bound))
     return out
 

@@ -152,7 +152,7 @@ def _suite_plateau(seed: int, adjoint: bool = False) -> CheckReport:
             op, f = lambda_op(params.m), families.build_general(params)
             a, b, c, d = params.a, params.b, params.c, params.d
         worst = 0.0
-        for frac in np.linspace(0.02, 0.98, 20):
+        for frac in np.linspace(0.02, 0.98, 20).tolist():
             for ends, level in (((a, b), 1.0), ((c, d), -1.0)):
                 lo, hi = sorted(ends)
                 t = lo + frac * (hi - lo)

@@ -24,6 +24,7 @@ from weaktype.operators import (
     apply_closed_form,
     apply_quadrature_oracle,
     eigen_check,
+    eigenvalue,
     lambda_op,
     lambda_star_op,
     superlevel_measure,
@@ -66,6 +67,8 @@ class TestOperatorKind:
         for t in np.linspace(0.25, 4.0, 50):
             apply_closed_form(forward, f, t)
             apply_closed_form(adjoint, f_star, t)
+            eigenvalue(forward, t)
+            eigenvalue(adjoint, -t)
         assert calls == []
 
     @pytest.mark.parametrize("m", [np.int64(3), True, 2.0, 0])

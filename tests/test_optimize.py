@@ -3,13 +3,14 @@ import json
 import math
 import random
 import re
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from weaktype import families, functionals, optimize, verify
+from weaktype import families, functionals, operators, optimize, verify
 from weaktype.families import (
     B_SP,
     B_STAR_SP,
@@ -390,6 +391,14 @@ class TestMaximizeOnCurve:
     def test_agrees_with_grid_maximization(self):
         assert abs(maximize_on_curve(2).value - maximize_W(2).value) <= 1e-4
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_record_holds_python_floats(self, m):
+        # the refinement runs on grid points taken as floats, not numpy scalars
+        record = maximize_on_curve(m)
+        assert type(record.b) is float
+        assert type(record.d) is float
+        assert type(record.value) is float
+
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_infeasible_scan_point_raises(self, monkeypatch, bad):
         m, index = 3, 137
@@ -653,6 +662,30 @@ class TestAuxSuprema:
         record = aux_suprema()[4]
         assert record.name == "low-x-branch"
         assert record.supremum <= 1.1
+
+    @pytest.mark.parametrize("spec", optimize._AUX_SPECS, ids=itemgetter(0))
+    def test_array_scan_picks_the_math_scan_index(self, spec):
+        # the array scan only brackets the math refinement; numpy's vectorized
+        # exp and log may round otherwise than libm, but must not move the index
+        _, fn, lo, hi, _ = spec
+        grid = np.linspace(lo, hi, 2000)
+        per_point = [fn(x) for x in grid.tolist()]
+        assert int(np.argmax(fn(grid, np))) == int(np.argmax(per_point))
+
+    def test_fields_are_python_floats(self):
+        for record in aux_suprema():
+            fields = (record.lo, record.hi, record.argmax, record.supremum, record.bound)
+            assert all(type(value) is float for value in fields), record
+
+
+@pytest.mark.parametrize("search, most", [(maximize_W, 5), (maximize_on_curve, 3)],
+                         ids=["maximize_W", "maximize_on_curve"])
+def test_search_checks_m_only_while_setting_up(monkeypatch, search, most):
+    # the objective works at one kernel exponent and never re-derives it from m
+    calls = []
+    monkeypatch.setattr(operators, "_check_m", calls.append)
+    search(5)
+    assert 1 <= len(calls) <= most
 
 
 @pytest.mark.parametrize("m", [0, True])
