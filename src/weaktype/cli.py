@@ -138,11 +138,11 @@ def _int_in(name: str, lo: int, hi: int):
     return parse
 
 
-_parse_m = _int_in("m", 1, 1_000_000)
+_parse_m = _int_in("m", 1, optimize._M_MAX)
 
 
 def _parse_m_list(text: str) -> list[int]:
-    """An argparse type: a comma-separated list of m in [1, 1_000_000]."""
+    """An argparse type: a comma-separated list of m, each as ``_parse_m`` takes it."""
     values = [_parse_m(part) for part in text.split(",") if part]
     if not values:
         raise argparse.ArgumentTypeError(f"bad m list {text!r}")

@@ -19,6 +19,7 @@ at k = m/2 and each *_star name at k = -1 - m/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .operators import _adjoint_k, _check_m, _forward_k
@@ -169,22 +170,25 @@ def d_star_min(b_star: float, m: int) -> float:
 def _validate_chain(
     m: int, names: tuple[str, ...], x0: float, x1: float, x2: float, x3: float
 ) -> list[ConstraintDiagnostic]:
-    """Slack of the ordering chain 0 < x0 < x1 <= x2 < x3 over the ascending
-    endpoints of a general family."""
+    """Slack of the ordering chain 0 < x0 < x1 <= x2 < x3 < inf over the
+    ascending endpoints of a general family.  The far end x3 is the one end
+    the ordering leaves free to be infinite; its slack to inf is +-inf."""
     _check_m(m)
-    n0, n1, n2, n3 = names
+    n0, n1, n2, n3, n4 = names
+    finite = math.isfinite(x3)
     return [
         ConstraintDiagnostic(n0, x0, x0 > 0.0),
         ConstraintDiagnostic(n1, x1 - x0, x1 > x0),
         ConstraintDiagnostic(n2, x2 - x1, x2 >= x1),
         ConstraintDiagnostic(n3, x3 - x2, x3 > x2),
+        ConstraintDiagnostic(n4, math.inf if finite else -math.inf, finite),
     ]
 
 
 # General-family ordering names over the ascending endpoints: (a, b, c, d)
 # forward, (d*, c*, b*, a*) for the adjoint.
-_GENERAL_NAMES = ("a > 0", "b > a", "c >= b", "d > c")
-_GENERAL_STAR_NAMES = ("d* > 0", "c* > d*", "b* >= c*", "a* > b*")
+_GENERAL_NAMES = ("a > 0", "b > a", "c >= b", "d > c", "d < inf")
+_GENERAL_STAR_NAMES = ("d* > 0", "c* > d*", "b* >= c*", "a* > b*", "a* < inf")
 
 
 # Restricted-family constraint names per direction, in the forward order.

@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest m the searches accept: beyond it maximize_W drifts above the m -> inf
+# limit curve_supremum() and maximize_on_curve's scan leaves the b-range.
+_M_MAX = 1_000_000
 _NM_TOL, _NM_MAX_ITERATIONS = 1e-10, 2000  # scipy's xatol = fatol, maxiter
 
 # 2 e^{-1/2} - 1: the limiting coefficient 2 b^{-m/2} - 1 at b = e^{1/m}.
@@ -166,6 +169,14 @@ def _nelder_mead(fn, x0) -> tuple[list[float], int, str | None]:
     return simplex[0][1], evaluations, "Maximum number of iterations has been exceeded."
 
 
+def _search_k(m: int) -> float:
+    """The forward kernel exponent of an m that the searches accept."""
+    k = _forward_k(m)
+    if m > _M_MAX:
+        raise ValueError(f"m must be at most {_M_MAX}, got {m}")
+    return k
+
+
 def _feasibility_map(m: int):
     """The map (u, v) -> (b, d), scalars or broadcast arrays, from the unit
     square onto the feasible region; m is checked and the b-range computed
@@ -205,9 +216,11 @@ def maximize_W(m: int) -> OptimumRecord:
     never leaves the closure of the feasible region, and never ends worse
     than that first vertex.  ``evaluations`` counts every grid cell and every
     Nelder-Mead evaluation.  Deterministic for fixed inputs; raises
-    ConvergenceError when Nelder-Mead does not converge.
+    ConvergenceError when Nelder-Mead does not converge, and ValueError for
+    m above 10**6.
     """
-    k, to_bd = _forward_k(m), _feasibility_map(m)
+    k = _search_k(m)
+    to_bd = _feasibility_map(m)
 
     def bd_of(u: float, v: float) -> tuple[float, float]:
         return to_bd(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
@@ -294,8 +307,9 @@ def duality_map(b: float, m: int) -> DualityRecord:
 def maximize_on_curve(m: int) -> OptimumRecord:
     """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end as one
     array, then golden-section on scalar W.  The first scan point with a
-    nonpositive or NaN denominator raises DenominatorError."""
-    k = _forward_k(m)
+    nonpositive or NaN denominator raises DenominatorError; m above 10**6
+    raises ValueError."""
+    k = _search_k(m)
     grid = np.linspace(families.b_min(m), _curve_scan_end(m), 400)
     d = _d_opt(grid, k)
     denominator = functionals._w_denominator(grid, d, k)

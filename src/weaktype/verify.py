@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .families import (
     GeneralStarFamilyParams,
 )
 from .functionals import W, W_star, gill_bound
-from .operators import lambda_op, lambda_star_op
+from .operators import _adjoint_k, _forward_k, lambda_op, lambda_star_op
 
 __all__ = [
     "Status",
@@ -82,22 +82,19 @@ def _rng(seed: int, index: int) -> np.random.Generator:
 
 def _random_spec(rng: np.random.Generator, adjoint: bool = False):
     """A restricted-family point at fractions u, v in [0.02, 0.98] of the
-    b-range and of the d-range at b; with ``adjoint``, a point (b*, d*)."""
-    if adjoint:
-        params = FStarSpecParams
-        b_near, b_far = families.b_star_max, families.b_star_min
-        d_near, d_far = families.d_star_max, families.d_star_min
-    else:
-        params = FSpecParams
-        b_near, b_far = families.b_min, families.b_max
-        d_near, d_far = families.d_min, families.d_max
+    b-range and of the d-range at b; with ``adjoint``, a point (b*, d*).
+
+    Both directions take one path in the kernel exponent k through the
+    closed forms that b_min ... d_star_min wrap, with the ranges sorted
+    because the adjoint ones run the other way."""
     m = int(rng.integers(1, 9))
     u = rng.uniform(0.02, 0.98)
     v = rng.uniform(0.02, 0.98)
-    lo, hi = sorted((b_near(m), b_far(m)))
+    k = (_adjoint_k if adjoint else _forward_k)(m)
+    lo, hi = sorted((families._b_near(k), families._b_far(k)))
     b = lo + u * (hi - lo)
-    lo, hi = sorted((d_near(b, m), d_far(b, m)))
-    return params(m, b, lo + v * (hi - lo))
+    lo, hi = sorted((families._t_0(b, k), families._d_far(b, k)))
+    return (FStarSpecParams if adjoint else FSpecParams)(m, b, lo + v * (hi - lo))
 
 
 # Uniform ranges of a, b/a, c/b (when c > b) and d/c for the general samplers.
@@ -142,15 +139,14 @@ def _suite_plateau(seed: int, adjoint: bool = False) -> CheckReport:
     collector = _Collector()
     rng = _rng(seed, 2 if adjoint else 1)
     star = "*" if adjoint else ""
+    make_op, build = (
+        (lambda_star_op, families.build_general_star) if adjoint
+        else (lambda_op, families.build_general)
+    )
     for _ in range(40):
         params = _random_general(rng, adjoint)
-        if adjoint:
-            op, f = lambda_star_op(params.m), families.build_general_star(params)
-            a, b = params.a_star, params.b_star
-            c, d = params.c_star, params.d_star
-        else:
-            op, f = lambda_op(params.m), families.build_general(params)
-            a, b, c, d = params.a, params.b, params.c, params.d
+        m, a, b, c, d = astuple(params)
+        op, f = make_op(m), build(params)
         worst = 0.0
         for frac in np.linspace(0.02, 0.98, 20).tolist():
             for ends, level in (((a, b), 1.0), ((c, d), -1.0)):
@@ -158,8 +154,7 @@ def _suite_plateau(seed: int, adjoint: bool = False) -> CheckReport:
                 t = lo + frac * (hi - lo)
                 worst = max(worst, abs(operators.apply_closed_form(op, f, t) - level))
         collector.metric(
-            f"m={params.m} a{star}={a:.3f} b{star}={b:.3f} c{star}={c:.3f} "
-            f"d{star}={d:.3f}",
+            f"m={m} a{star}={a:.3f} b{star}={b:.3f} c{star}={c:.3f} d{star}={d:.3f}",
             worst,
             1.0,
         )
@@ -187,20 +182,19 @@ def _suite_oracle(seed: int) -> CheckReport:
     # closed-form ratio vs structural superlevel / exact L1, each direction
     for adjoint in (False, True):
         prefix, star = ("adjoint ", "*") if adjoint else ("", "")
+        make_op, build, closed_ratio = (
+            (lambda_star_op, families.build_star_spec, W_star) if adjoint
+            else (lambda_op, families.build_spec, W)
+        )
         for _ in range(300):
             params = _random_spec(rng, adjoint)
-            m = params.m
-            if adjoint:
-                b, d = params.b_star, params.d_star
-                op, f = lambda_star_op(m), families.build_star_spec(params)
-                closed = W_star(b, d, m)
-            else:
-                b, d = params.b, params.d
-                op, f = lambda_op(m), families.build_spec(params)
-                closed = W(b, d, m)
+            m, b, d = astuple(params)
+            op, f = make_op(m), build(params)
             label = f"m={m} b{star}={b:.3f} d{star}={d:.3f}"
             report = functionals.oracle_ratio(op, f)
-            collector.metric(f"{prefix}ratio {label}", closed - report.ratio, 1e-7)
+            collector.metric(
+                f"{prefix}ratio {label}", closed_ratio(b, d, m) - report.ratio, 1e-7
+            )
             intervals = operators.superlevel_measure(op, f).intervals
             single = len(intervals) == 1 and all(
                 abs(end - ref) <= 1e-9 * max(1.0, ref)
@@ -237,7 +231,16 @@ def _suite_scaling(seed: int) -> CheckReport:
     return collector.report("scaling", seed, tolerance=1e-9)
 
 
+def _increasing(values: np.ndarray) -> bool:
+    return bool(np.all(values[:-1] < values[1:]))
+
+
 def _suite_boundaries(seed: int) -> CheckReport:
+    """Feasibility boundaries, the optimal curves and their sandwiches.
+
+    Each bound check takes the boundary functions and d_opt/d*_opt on a whole
+    array of b at once; every printed metric is a scalar evaluation.
+    """
     from .piecewise import evaluate
 
     collector = _Collector()
@@ -245,16 +248,11 @@ def _suite_boundaries(seed: int) -> CheckReport:
     for m in range(1, 21):
         lo, hi = families.b_min(m), families.b_max(m)
         bs = np.sort(lo + rng.uniform(0.01, 0.99, size=50) * (hi - lo))
-        d_mins = [families.d_min(float(b), m) for b in bs]
-        d_maxs = [families.d_max(float(b), m) for b in bs]
-        collector.bound(
-            f"d_min < d_max m={m}",
-            all(x < y for x, y in zip(d_mins, d_maxs)),
-        )
+        d_mins, d_maxs = families.d_min(bs, m), families.d_max(bs, m)
+        collector.bound(f"d_min < d_max m={m}", bool(np.all(d_mins < d_maxs)))
         collector.bound(
             f"d_min, d_max increasing m={m}",
-            all(x < y for x, y in zip(d_mins, d_mins[1:]))
-            and all(x < y for x, y in zip(d_maxs, d_maxs[1:])),
+            _increasing(d_mins) and _increasing(d_maxs),
         )
         collector.metric(
             f"d_min(b_min) == b_min m={m}",
@@ -263,12 +261,10 @@ def _suite_boundaries(seed: int) -> CheckReport:
         )
         s_lo, s_hi = families.b_star_min(m), families.b_star_max(m)
         bss = np.sort(s_lo + rng.uniform(0.01, 0.99, size=50) * (s_hi - s_lo))
-        ds_mins = [families.d_star_min(float(b), m) for b in bss]
-        ds_maxs = [families.d_star_max(float(b), m) for b in bss]
         collector.bound(
             f"d*_min, d*_max increasing m={m}",
-            all(x < y for x, y in zip(ds_mins, ds_mins[1:]))
-            and all(x < y for x, y in zip(ds_maxs, ds_maxs[1:])),
+            _increasing(families.d_star_min(bss, m))
+            and _increasing(families.d_star_max(bss, m)),
         )
     collector.metric("b_min(1) == 1.5625", families.b_min(1) - 1.5625, 1e-12)
     collector.metric("b_max(1) == 4", families.b_max(1) - 4.0, 1e-12)
@@ -280,50 +276,39 @@ def _suite_boundaries(seed: int) -> CheckReport:
         families.b_star_max(1) - (4.0 / 7.0) ** (2.0 / 3.0),
         1e-12,
     )
-    collector.metric(
-        "b*_sp value", families.B_STAR_SP - 0.63004, 1e-4
-    )
+    collector.metric("b*_sp value", families.B_STAR_SP - 0.63004, 1e-4)
     # sandwich and curve monotonicity
     for m in range(1, 11):
         lo, hi = families.b_min(m), families.b_max(m)
         bs = np.concatenate(
             ([lo], np.sort(lo + rng.uniform(0.0, 0.995, size=50) * (hi - lo)))
         )
-        sandwich_ok = True
-        for b in bs:
-            d_at = optimize.d_opt(float(b), m)
-            if not (
-                families.d_min(float(b), m) - 1e-12 <= d_at
-                <= families.d_max(float(b), m) + 1e-12
-            ):
-                sandwich_ok = False
-        collector.bound(f"d_min <= d_opt <= d_max m={m}", sandwich_ok)
+        d_at = optimize.d_opt(bs, m)
+        collector.bound(
+            f"d_min <= d_opt <= d_max m={m}",
+            bool(np.all((families.d_min(bs, m) - 1e-12 <= d_at)
+                        & (d_at <= families.d_max(bs, m) + 1e-12))),
+        )
         collector.bound(
             f"strict sandwich at b_min m={m}",
             families.d_min(lo, m) < optimize.d_opt(lo, m) < families.d_max(lo, m),
         )
         grid = np.linspace(lo, optimize._curve_scan_end(m), 40)
-        d_opts = [optimize.d_opt(float(b), m) for b in grid]
-        ratios = [families.d_min(float(b), m) / d for b, d in zip(grid, d_opts)]
-        collector.bound(
-            f"d_opt increasing m={m}",
-            all(x < y for x, y in zip(d_opts, d_opts[1:])),
-        )
+        d_opts = optimize.d_opt(grid, m)
+        collector.bound(f"d_opt increasing m={m}", _increasing(d_opts))
         collector.bound(
             f"t_0/d_opt decreasing m={m}",
-            all(x > y for x, y in zip(ratios, ratios[1:])),
+            _increasing(-families.d_min(grid, m) / d_opts),
         )
         s_lo, s_hi = families.b_star_min(m), families.b_star_max(m)
         star_lo = families.B_STAR_SP if m == 1 else s_lo + (s_hi - s_lo) * 1e-6
-        star_ok = True
-        for b_star in np.linspace(star_lo, s_hi, 40):
-            ds_at = optimize.d_star_opt(float(b_star), m)
-            if not (
-                families.d_star_min(float(b_star), m) - 1e-12 <= ds_at
-                <= families.d_star_max(float(b_star), m) + 1e-12
-            ):
-                star_ok = False
-        collector.bound(f"adjoint sandwich m={m}", star_ok)
+        b_stars = np.linspace(star_lo, s_hi, 40)
+        ds_at = optimize.d_star_opt(b_stars, m)
+        collector.bound(
+            f"adjoint sandwich m={m}",
+            bool(np.all((families.d_star_min(b_stars, m) - 1e-12 <= ds_at)
+                        & (ds_at <= families.d_star_max(b_stars, m) + 1e-12))),
+        )
     # adjoint limit at b*_min: the numerics side with 2^(2/m)
     for m in (1, 2, 3):
         b_star = families.b_star_min(m) * (1.0 + 1e-9)
@@ -351,33 +336,29 @@ def _suite_boundaries(seed: int) -> CheckReport:
         )
         # sign pattern: negative on (1, b); negative then positive around t_0
         t0 = families.d_min(params.b, params.m)
-        pattern_ok = (
-            all(
-                evaluate(f_spec, float(t)) < 0.0
-                for t in np.linspace(1.0 + 1e-6, params.b, 20)
-            )
-            and all(
-                evaluate(f_spec, float(t)) < 0.0
-                for t in np.linspace(params.b + 1e-9, t0 * (1 - 1e-9), 20)
-            )
-            and all(
-                evaluate(f_spec, float(t)) > 0.0
-                for t in np.linspace(t0 * (1 + 1e-9), params.d, 20)
-            )
+        spans = (
+            (1.0 + 1e-6, params.b, -1.0),
+            (params.b + 1e-9, t0 * (1 - 1e-9), -1.0),
+            (t0 * (1 + 1e-9), params.d, 1.0),
+        )
+        pattern_ok = all(
+            sign * evaluate(f_spec, t) > 0.0
+            for lo_t, hi_t, sign in spans
+            for t in np.linspace(lo_t, hi_t, 20).tolist()
         )
         collector.bound(f"sign pattern m={params.m} b={params.b:.3f}", pattern_ok)
     # curve bound auxiliary inequality
-    aux_ok = True
-    for m in range(1, 1001):
-        left = (2.0 + m) / m * ((4.0 + 3.0 * m) / (2.0 + 2.0 * m)) ** (
-            m / (2.0 + m)
-        ) - (2.0 + m) / m
-        right = m / (2.0 + m) * ((2.0 + 3.0 * m) / (2.0 + 2.0 * m)) ** (
-            (2.0 + m) / m
-        ) - m / (2.0 + m)
-        if not (left >= 0.5 >= right):
-            aux_ok = False
-    collector.bound("curve interval inequality m=1..1000", aux_ok)
+    ms = np.arange(1, 1001, dtype=float)
+    left = (2.0 + ms) / ms * ((4.0 + 3.0 * ms) / (2.0 + 2.0 * ms)) ** (
+        ms / (2.0 + ms)
+    ) - (2.0 + ms) / ms
+    right = ms / (2.0 + ms) * ((2.0 + 3.0 * ms) / (2.0 + 2.0 * ms)) ** (
+        (2.0 + ms) / ms
+    ) - ms / (2.0 + ms)
+    collector.bound(
+        "curve interval inequality m=1..1000",
+        bool(np.all((left >= 0.5) & (0.5 >= right))),
+    )
     return collector.report("boundaries", seed)
 
 

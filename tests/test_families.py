@@ -52,6 +52,11 @@ class TestBuildGeneral:
     def test_leading_coefficient_at_unit_scale(self):
         assert families._general_B(1.0, 3 / 2.0) == pytest.approx(-2.0 * 4.0 / 3.0)
 
+    def test_infinite_far_end_rejected(self):
+        # l1_norm used to read nan and general_ratio to raise DenominatorError
+        with pytest.raises(ConstraintViolation, match=re.escape("d < inf")):
+            GeneralFamilyParams(1, 1.0, 2.0, 3.0, math.inf)
+
     def test_bad_ordering_rejected(self):
         with pytest.raises(ConstraintViolation):
             GeneralFamilyParams(1, 1.0, 0.9, 2.0, 3.0)
@@ -95,12 +100,17 @@ class TestBuildGeneralStar:
         with pytest.raises(ConstraintViolation):
             GeneralStarFamilyParams(1, 1.0, 0.6, 0.5, 0.0)
 
+    def test_infinite_far_end_rejected(self):
+        # build_general_star used to divide by zero at a* = inf
+        with pytest.raises(ConstraintViolation, match=re.escape("a* < inf")):
+            GeneralStarFamilyParams(1, math.inf, 0.5, 0.4, 0.3)
+
     def test_validate_accepts_params(self):
         diagnostics = families._validate_chain(
             2, families._GENERAL_STAR_NAMES, 0.3, 0.6, 0.8, 1.0
         )
         assert [diag.name for diag in diagnostics] == [
-            "d* > 0", "c* > d*", "b* >= c*", "a* > b*"
+            "d* > 0", "c* > d*", "b* >= c*", "a* > b*", "a* < inf"
         ]
         assert all(diag.satisfied for diag in diagnostics)
 
@@ -174,6 +184,28 @@ class TestBoundaries:
             (27.0 / (54.0 - 16.0 * (2.0 - 7.0 ** (1.0 / 3.0)) ** 3)) ** (2.0 / 3.0)
         )
         assert B_SP == pytest.approx(7.0 ** (2.0 / 3.0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 20, 40])
+    @pytest.mark.parametrize(
+        "fn, adjoint",
+        [(d_min, False), (d_max, False), (d_star_min, True), (d_star_max, True)],
+        ids=["d_min", "d_max", "d_star_min", "d_star_max"],
+    )
+    def test_array_matches_scalar(self, fn, adjoint, m):
+        # The boundaries suite calls these on arrays of b.  Array pow may
+        # differ from libm pow in the last bit, and the cancellation in
+        # x = 2 b^(-k) - 1 near the far end of the b-range scales that by the
+        # condition number 1 + |(x + 1) / (k x)|.
+        if adjoint:
+            k = -1.0 - m / 2.0
+            grid = np.linspace(b_star_min(m) * (1.0 + 1e-6), b_star_max(m), 200)
+        else:
+            k = m / 2.0
+            grid = np.linspace(b_min(m), b_max(m) * (1.0 - 1e-6), 200)
+        scalar = np.array([fn(b, m) for b in grid.tolist()])
+        x = np.array([2.0 * b ** (-k) - 1.0 for b in grid.tolist()])
+        rtol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((x + 1.0) / (k * x)))
+        assert np.all(np.abs(fn(grid, m) - scalar) <= rtol * scalar)
 
 
 class TestValidate:

@@ -346,6 +346,19 @@ class TestDStarOpt:
         other = 2.0 ** (-2.0 / (2.0 + m))
         assert abs(d_star_max(near, m) / d_star_opt(near, m) - other) > 0.5
 
+    @pytest.mark.parametrize("m", [1, 2, 6, 40])
+    def test_array_matches_scalar(self, m):
+        # the boundaries suite's grid; array pow may differ from libm pow in
+        # the last bit, scaled near b*_min by the condition number of
+        # x = 2 b*^(-k) - 1, as for the families' boundary functions
+        k = optimize._adjoint_k(m)
+        lo, hi = b_star_min(m), b_star_max(m)
+        grid = np.linspace(B_STAR_SP if m == 1 else lo + (hi - lo) * 1e-6, hi, 50)
+        scalar = np.array([d_star_opt(b, m) for b in grid.tolist()])
+        x = np.array([2.0 * b ** (-k) - 1.0 for b in grid.tolist()])
+        rtol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((x + 1.0) / (k * x)))
+        assert np.all(np.abs(d_star_opt(grid, m) - scalar) <= rtol * scalar)
+
     def test_m1_below_split_goes_under_d_star_min(self):
         bs = 0.5 * (b_star_min(1) + B_STAR_SP)
         assert d_star_opt(bs, 1) < d_star_min(bs, 1)
@@ -706,3 +719,13 @@ def test_bad_m_rejected(call, m):
     # m = 0 used to divide by zero and m = True to run as m = 1
     with pytest.raises(ValueError, match=f"m must be an integer >= 1, got {m!r}"):
         call(m)
+
+
+@pytest.mark.parametrize("search", [maximize_W, maximize_on_curve],
+                         ids=["maximize_W", "maximize_on_curve"])
+def test_m_above_the_cap_rejected(search):
+    # maximize_W(10**8) used to read 3.6e-8 above curve_supremum() and
+    # maximize_on_curve(10**9) to fail inside _d_opt
+    with pytest.raises(ValueError, match="^m must be at most 1000000, got 1000001$"):
+        search(10**6 + 1)
+    assert search(10**6).value == pytest.approx(curve_supremum(), abs=1e-8)
