@@ -90,18 +90,22 @@ def _b_far(k: float) -> float:
     return 2.0 ** (1.0 / k)
 
 
-def _t_0(b, k: float):
-    """Sign change of the second restricted piece (d_min, d*_max)."""
-    return ((1.0 + k) / (1.0 + 2.0 * k)) ** (1.0 / k) * (
-        2.0 * b ** (-k) - 1.0
-    ) ** (-1.0 / k)
+def _coefficient(b, k: float):
+    """x = 2 b^(-k) - 1, the one power of b that t_0, d_far, D and the
+    optimal curve share; b a float or an array."""
+    return 2.0 * b ** (-k) - 1.0
 
 
-def _d_far(b: float, k: float) -> float:
-    """End of the restricted d-range farther from 1 (d_max, d*_min)."""
-    return ((1.0 + 3.0 * k) / ((1.0 + 2.0 * k) * (2.0 * b ** (-k) - 1.0))) ** (
-        1.0 / k
-    )
+def _t_0(x, k: float):
+    """Sign change of the second restricted piece (d_min, d*_max), from the
+    coefficient x = _coefficient(b, k)."""
+    return ((1.0 + k) / (1.0 + 2.0 * k)) ** (1.0 / k) * x ** (-1.0 / k)
+
+
+def _d_far(x, k: float):
+    """End of the restricted d-range farther from 1 (d_max, d*_min), from the
+    coefficient x = _coefficient(b, k)."""
+    return ((1.0 + 3.0 * k) / ((1.0 + 2.0 * k) * x)) ** (1.0 / k)
 
 
 def _general_B(a: float, k: float) -> float:
@@ -116,7 +120,7 @@ def _general_D(a: float, b: float, c: float, k: float) -> float:
 
 
 def _spec_D(b: float, k: float) -> float:
-    return (1.0 + 2.0 * k) / k * (2.0 * b ** (-k) - 1.0)
+    return (1.0 + 2.0 * k) / k * _coefficient(b, k)
 
 
 def _build(k: float, plus, minus, coeff_plus: float, coeff_minus: float):
@@ -141,11 +145,13 @@ def b_max(m: int) -> float:
 
 def d_min(b: float, m: int) -> float:
     """The sign change t_0 of the second restricted piece."""
-    return _t_0(b, _forward_k(m))
+    k = _forward_k(m)
+    return _t_0(_coefficient(b, k), k)
 
 
 def d_max(b: float, m: int) -> float:
-    return _d_far(b, _forward_k(m))
+    k = _forward_k(m)
+    return _d_far(_coefficient(b, k), k)
 
 
 def b_star_min(m: int) -> float:
@@ -158,11 +164,13 @@ def b_star_max(m: int) -> float:
 
 def d_star_max(b_star: float, m: int) -> float:
     """The sign change t_0* of the inner adjoint piece."""
-    return _t_0(b_star, _adjoint_k(m))
+    k = _adjoint_k(m)
+    return _t_0(_coefficient(b_star, k), k)
 
 
 def d_star_min(b_star: float, m: int) -> float:
-    return _d_far(b_star, _adjoint_k(m))
+    k = _adjoint_k(m)
+    return _d_far(_coefficient(b_star, k), k)
 
 
 # --- parameter types ---------------------------------------------------------
@@ -205,39 +213,43 @@ _STAR_SPEC_NAMES = (
 )
 
 
-def _validate_restricted(
-    k: float, b: float, d: float, names: tuple[str, ...]
-) -> list[ConstraintDiagnostic]:
-    """Slack of every restricted-family constraint at (b, d), in the kernel
-    exponent k; the orientation turns each forward slack into its mirror."""
-
-    def diag(name: str, slack: float):
-        return ConstraintDiagnostic(name, slack, slack > 0.0)
-
+def _validate_restricted(k: float, b: float, d: float, names: tuple[str, ...]):
+    """(name, slack) of every restricted-family constraint at (b, d), in the
+    kernel exponent k; a slack is satisfied when it is > 0.  The orientation
+    turns each forward slack into its mirror.  The pairs are drawn one by
+    one, and stop where the remaining slacks are undefined."""
     pos_b, pos_d, near, far, coeff, *pieces = names
-    out = [diag(pos_b, b), diag(pos_d, d)]
+    yield pos_b, b
+    yield pos_d, d
     if b <= 0.0 or d <= 0.0:
-        return out
+        return
     s = _orientation(k)
-    out += [diag(near, s * (b - _b_near(k))), diag(far, s * (_b_far(k) - b))]
+    yield near, s * (b - _b_near(k))
+    yield far, s * (_b_far(k) - b)
     try:
         dd = _spec_D(b, k)
     except OverflowError:  # b**(-k) overflows only far beyond the near end
-        return out
-    out.append(diag(coeff, dd))
-    if dd <= 0.0:
-        return out
-    d_range = (s * (d - _t_0(b, k)), s * (_d_far(b, k) - d))
-    out += [diag(name, slack) for name, slack in zip(pieces, d_range)]
+        return
+    yield coeff, dd
+    if dd <= 0.0 or dd == math.inf:  # inf only at b* = inf, where d*_min divides by 0
+        return
+    x = _coefficient(b, k)
+    yield pieces[0], s * (d - _t_0(x, k))
+    yield pieces[1], s * (_d_far(x, k) - d)
     try:
         d_k = d ** k
     except OverflowError:  # d**k overflows only far beyond the d-range
-        return out
+        return
     const = (1.0 + k) / k
     at_b = -const + dd * b ** k
     at_d = -const + dd * d_k
-    slacks = (-at_b, at_d, 2.0 - at_d)
-    return out + [diag(name, slack) for name, slack in zip(pieces[2:], slacks)]
+    yield pieces[2], -at_b
+    yield pieces[3], at_d
+    yield pieces[4], 2.0 - at_d
+
+
+def _diagnostics(slacks) -> list[ConstraintDiagnostic]:
+    return [ConstraintDiagnostic(name, slack, slack > 0.0) for name, slack in slacks]
 
 
 def validate_spec(m: int, b: float, d: float) -> list[ConstraintDiagnostic]:
@@ -246,7 +258,7 @@ def validate_spec(m: int, b: float, d: float) -> list[ConstraintDiagnostic]:
     The derived interval constraints are canonical; the raw inequality chain
     on the second piece is kept as a redundant cross-check.
     """
-    return _validate_restricted(_forward_k(m), b, d, _SPEC_NAMES)
+    return _diagnostics(_validate_restricted(_forward_k(m), b, d, _SPEC_NAMES))
 
 
 def validate_star_spec(
@@ -254,15 +266,25 @@ def validate_star_spec(
 ) -> list[ConstraintDiagnostic]:
     """Adjoint counterpart of validate_spec at (b*, d*): the same constraints
     at k = -1 - m/2, named for the mirrored intervals."""
-    return _validate_restricted(_adjoint_k(m), b_star, d_star, _STAR_SPEC_NAMES)
+    return _diagnostics(
+        _validate_restricted(_adjoint_k(m), b_star, d_star, _STAR_SPEC_NAMES))
+
+
+def _violation(name: str, slack: float) -> ConstraintViolation:
+    return ConstraintViolation(f"constraint violated: {name} (slack {slack:.6g})")
 
 
 def _raise_on_failure(diagnostics) -> None:
     for diag in diagnostics:
         if not diag.satisfied:
-            raise ConstraintViolation(
-                f"constraint violated: {diag.name} (slack {diag.slack:.6g})"
-            )
+            raise _violation(diag.name, diag.slack)
+
+
+def _raise_on_slack(slacks) -> None:
+    """Raise on the first (name, slack) pair whose slack is not > 0."""
+    for name, slack in slacks:
+        if not slack > 0.0:
+            raise _violation(name, slack)
 
 
 @dataclass(frozen=True)
@@ -303,26 +325,34 @@ class GeneralStarFamilyParams:
 
 @dataclass(frozen=True)
 class FSpecParams:
-    """A point (b, d) of the open restricted feasible region for parameter m."""
+    """A point (b, d) of the open restricted feasible region for parameter m.
+
+    Construction reads the slacks of ``validate_spec`` alone and raises
+    ConstraintViolation at the first that is not positive, with the message
+    of that diagnostic; it builds no ConstraintDiagnostic.
+    """
 
     m: int
     b: float
     d: float
 
     def __post_init__(self) -> None:
-        _raise_on_failure(validate_spec(self.m, self.b, self.d))
+        _raise_on_slack(
+            _validate_restricted(_forward_k(self.m), self.b, self.d, _SPEC_NAMES))
 
 
 @dataclass(frozen=True)
 class FStarSpecParams:
-    """A point (b*, d*) of the adjoint restricted feasible region for parameter m."""
+    """A point (b*, d*) of the adjoint restricted feasible region for parameter m,
+    checked as ``FSpecParams`` is, on the slacks of ``validate_star_spec``."""
 
     m: int
     b_star: float
     d_star: float
 
     def __post_init__(self) -> None:
-        _raise_on_failure(validate_star_spec(self.m, self.b_star, self.d_star))
+        _raise_on_slack(_validate_restricted(
+            _adjoint_k(self.m), self.b_star, self.d_star, _STAR_SPEC_NAMES))
 
 
 # --- constructors -------------------------------------------------------------

@@ -74,20 +74,22 @@ class RatioReport:
         return cls(numerator, denominator, numerator / denominator)
 
 
-def _w_denominator(b, d, k: float):
+def _w_denominator(b, d, k: float, x=None, t_0=None):
     """L1 norm of the restricted function at kernel exponent k.
 
     The bracket is the forward norm written in k; the adjoint norm is its
-    negative, since the adjoint intervals are mirrored through 1.
+    negative, since the adjoint intervals are mirrored through 1.  A caller
+    that holds x = ``families._coefficient(b, k)`` and t_0 at b passes them.
     """
+    if x is None:
+        x = families._coefficient(b, k)
+        t_0 = families._t_0(x, k)
     return families._orientation(k) * (
         k / (1.0 + k)
         - (1.0 + k) / k * d
         - 2.0 * k / (1.0 + k) * b
-        + (1.0 + 2.0 * k) / (k * (1.0 + k))
-        * (2.0 * b ** (-k) - 1.0)
-        * d ** (1.0 + k)
-        + 2.0 * families._t_0(b, k)
+        + (1.0 + 2.0 * k) / (k * (1.0 + k)) * x * d ** (1.0 + k)
+        + 2.0 * t_0
     )
 
 

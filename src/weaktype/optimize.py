@@ -4,21 +4,24 @@ This module searches the closed forms of ``functionals``; ``curve_supremum``
 and ``UNIFORM_BOUND_CONSTANTS`` are the one home of their values.
 
 All searches are deterministic.  A fixed feasibility-mapped grid feeds
-``_nelder_mead``, scipy's Nelder-Mead repeated step for step in Python floats:
-initial simplex x0 with each coordinate in turn times 1.05 (0.00025 where it
-is 0), reflection 1, expansion 2, contraction 0.5, shrink 0.5, clipped to the
-feasible closure, xatol = fatol = 1e-10, at most 2000 iterations and, as in
-scipy given only maxiter, no cap on evaluations.  One-dimensional scans feed
-golden-section refinement, and every root is found by bisection on an
-analytically sign-certified bracket.
+``_nelder_mead``, scipy's Nelder-Mead on two coordinates repeated step for
+step in Python floats: initial simplex x0 with each coordinate in turn times
+1.05 (0.00025 where it is 0), reflection 1, expansion 2, contraction 0.5,
+shrink 0.5, clipped to the feasible closure, xatol = fatol = 1e-10, at most
+2000 iterations and, as in scipy given only maxiter, no cap on evaluations.
+One-dimensional scans feed golden-section refinement, and every root is found
+by bisection on an analytically sign-certified bracket.
+
+Every objective point raises b to the power -k once: ``families._coefficient``
+gives x = 2 b^(-k) - 1, and t_0, d_max and the L1 denominator are built from
+that x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter
+from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import bisect
@@ -123,50 +126,68 @@ class ConvergenceError(RuntimeError):
     """An optimizer stopped without meeting its convergence criteria."""
 
 
-def _nelder_mead(fn, x0) -> tuple[list[float], int, str | None]:
-    """Minimize fn from x0 by scipy's Nelder-Mead steps, in its operation order.
+def _nelder_mead(fn, u: float, v: float):
+    """Minimize fn(u, v) from (u, v) by scipy's two-coordinate Nelder-Mead
+    steps, in its operation order, on Python floats.
 
-    Ties in value keep their order, as numpy's sort of up to three vertices
-    does; fn must not return NaN.  Returns (x, evaluations, failure), failure
-    being None on convergence and otherwise scipy's reason."""
-    n, evaluations = len(x0), 0
-
-    def vertex(x: list[float]) -> tuple[float, list[float]]:
-        nonlocal evaluations
-        evaluations += 1
-        return fn(x), x
-
-    def toward(t: float) -> tuple[float, list[float]]:
-        # reflection t = 1, expansion 2, contraction 0.5 outside, -0.5 inside
-        return vertex([(1.0 + t) * c - t * w for c, w in zip(xbar, worst)])
-
-    simplex = sorted([vertex(list(x0))] + [vertex([
-        (1.05 * c if c != 0 else 0.00025) if j == i else c
-        for j, c in enumerate(x0)]) for i in range(n)], key=itemgetter(0))
+    Each vertex is (value, u, v), and the three stay sorted by value; ties
+    keep their order, as numpy's sort of three vertices does.  fn must not
+    return NaN.  Returns ((u, v), value, evaluations, failure) for the best
+    vertex, failure being None on convergence and otherwise scipy's reason.
+    """
+    # the first vertex, then each coordinate in turn times 1.05 (0.00025 at 0)
+    du, dv = (1.05 * c if c != 0 else 0.00025 for c in (u, v))
+    (f0, u0, v0), (f1, u1, v1), (f2, u2, v2) = sorted(
+        ((fn(u, v), u, v), (fn(du, v), du, v), (fn(u, dv), u, dv)), key=itemgetter(0))
+    evaluations = 3
     for _ in range(1, _NM_MAX_ITERATIONS):
-        f_best, best = simplex[0]
-        if all(abs(a - b) <= _NM_TOL for _, x in simplex[1:] for a, b in zip(x, best)) \
-                and all(abs(f_best - f) <= _NM_TOL for f, _ in simplex[1:]):
-            return best, evaluations, None
-        f_worst, worst = simplex[-1]
-        # numpy's column sums run left to right from the first vertex
-        xbar = [reduce(add, column) / n for column in zip(*(x for _, x in simplex[:-1]))]
-        reflected = toward(1.0)
-        if reflected[0] < f_best:
-            expanded = toward(2.0)
-            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
-        elif reflected[0] < simplex[-2][0]:
-            simplex[-1] = reflected
+        if (abs(u1 - u0) <= _NM_TOL and abs(v1 - v0) <= _NM_TOL
+                and abs(u2 - u0) <= _NM_TOL and abs(v2 - v0) <= _NM_TOL
+                and abs(f0 - f1) <= _NM_TOL and abs(f0 - f2) <= _NM_TOL):
+            return (u0, v0), f0, evaluations, None
+        cu, cv = (u0 + u1) / 2.0, (v0 + v1) / 2.0  # centroid of all but the worst
+        # reflection (1 + t) c - t w at t = 1, expansion at t = 2, contraction
+        # at t = 0.5 outside and 0.5 c + 0.5 w inside
+        ur, vr = 2.0 * cu - u2, 2.0 * cv - v2
+        fr = fn(ur, vr)
+        evaluations += 1
+        if fr < f0:
+            ue, ve = 3.0 * cu - 2.0 * u2, 3.0 * cv - 2.0 * v2
+            fe = fn(ue, ve)
+            evaluations += 1
+            new = (fe, ue, ve) if fe < fr else (fr, ur, vr)
+        elif fr < f1:
+            new = (fr, ur, vr)
         else:
-            outside = reflected[0] < f_worst
-            contracted = toward(0.5 if outside else -0.5)
-            if contracted[0] <= reflected[0] if outside else contracted[0] < f_worst:
-                simplex[-1] = contracted
+            if fr < f2:
+                uc, vc = 1.5 * cu - 0.5 * u2, 1.5 * cv - 0.5 * v2
+                fc = fn(uc, vc)
+                accept = fc <= fr
+            else:
+                uc, vc = 0.5 * cu + 0.5 * u2, 0.5 * cv + 0.5 * v2
+                fc = fn(uc, vc)
+                accept = fc < f2
+            evaluations += 1
+            if accept:
+                new = (fc, uc, vc)
             else:  # shrink halfway toward the best vertex
-                simplex[1:] = [vertex([b + 0.5 * (a - b) for a, b in zip(x, best)])
-                               for _, x in simplex[1:]]
-        simplex.sort(key=itemgetter(0))
-    return simplex[0][1], evaluations, "Maximum number of iterations has been exceeded."
+                u1, v1 = u0 + 0.5 * (u1 - u0), v0 + 0.5 * (v1 - v0)
+                f1 = fn(u1, v1)
+                u2, v2 = u0 + 0.5 * (u2 - u0), v0 + 0.5 * (v2 - v0)
+                f2 = fn(u2, v2)
+                evaluations += 2
+                (f0, u0, v0), (f1, u1, v1), (f2, u2, v2) = sorted(
+                    ((f0, u0, v0), (f1, u1, v1), (f2, u2, v2)), key=itemgetter(0))
+                continue
+        # the new vertex replaces the worst, stably: it goes ahead only of
+        # vertices with strictly larger values
+        if new[0] >= f1:
+            f2, u2, v2 = new
+        elif new[0] >= f0:
+            (f1, u1, v1), (f2, u2, v2) = new, (f1, u1, v1)
+        else:
+            (f0, u0, v0), (f1, u1, v1), (f2, u2, v2) = new, (f0, u0, v0), (f1, u1, v1)
+    return (u0, v0), f0, evaluations, "Maximum number of iterations has been exceeded."
 
 
 def _search_k(m: int) -> float:
@@ -177,17 +198,20 @@ def _search_k(m: int) -> float:
     return k
 
 
-def _feasibility_map(m: int):
-    """The map (u, v) -> (b, d), scalars or broadcast arrays, from the unit
-    square onto the feasible region; m is checked and the b-range computed
-    once."""
-    k = _forward_k(m)
-    lo_b, hi_b = families._b_near(k), families._b_far(k)
+def _feasibility_map(k: float):
+    """The map (u, v) -> (b, d, x, t_0), scalars or broadcast arrays, from the
+    unit square onto the feasible region at kernel exponent k.
+
+    x = 2 b^(-k) - 1 and t_0 = d_min(b) come with (b, d), so that the
+    denominator takes them rather than raise b to a power again."""
+    lo_b = families._b_near(k)
+    width = families._b_far(k) - lo_b
 
     def to_bd(u, v):
-        b = lo_b + u * (hi_b - lo_b) * (1.0 - 1e-9)
-        d_lo, d_hi = families._t_0(b, k), families._d_far(b, k)
-        return b, d_lo + v * (d_hi - d_lo)
+        b = lo_b + u * width * (1.0 - 1e-9)
+        x = families._coefficient(b, k)
+        d_lo = families._t_0(x, k)
+        return b, d_lo + v * (families._d_far(x, k) - d_lo), x, d_lo
 
     return to_bd
 
@@ -199,50 +223,68 @@ def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
     [d_min(b), d_max(b)].  A cell whose denominator is nonpositive or not
     finite reads -inf.
     """
-    b, d = _feasibility_map(m)(ticks[:, None], ticks)
+    k = _forward_k(m)
+    b, d, x, t_0 = _feasibility_map(k)(ticks[:, None], ticks)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denominator = functionals._w_denominator(b, d, _forward_k(m))
+        denominator = functionals._w_denominator(b, d, k, x, t_0)
         feasible = np.isfinite(denominator) & (denominator > 0.0)
         return np.where(feasible, (d - 1.0) / denominator, -math.inf)
 
 
+def _unit(t: float) -> float:
+    """min(max(t, 0.0), 1.0), without the builtins' call cost."""
+    return 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+
+
+def _w_objective(k: float):
+    """maximize_W's Nelder-Mead objective at kernel exponent k: -W at the
+    feasibility-mapped (u, v), each clipped to [0, 1], and +inf where W
+    raises DenominatorError."""
+    to_bd = _feasibility_map(k)
+
+    def objective(u: float, v: float) -> float:
+        b, d, x, t_0 = to_bd(_unit(u), _unit(v))
+        denominator = functionals._w_denominator(b, d, k, x, t_0)
+        return -((d - 1.0) / denominator) if denominator > 0.0 else math.inf
+
+    return objective
+
+
 def maximize_W(m: int) -> OptimumRecord:
-    """64 x 64 grid over the feasible region mapped to the unit square, then
-    Nelder-Mead.
+    """64 x 64 grid over the feasible region mapped to the unit square, then a
+    two-coordinate Nelder-Mead simplex.
 
     The grid is evaluated as one array; ties on it break toward smaller b,
     then smaller d, and the winning cell is the first simplex vertex.  The
-    refinement, on scalar W, clips (u, v) to the unit square, so the search
-    never leaves the closure of the feasible region, and never ends worse
-    than that first vertex.  ``evaluations`` counts every grid cell and every
-    Nelder-Mead evaluation.  Deterministic for fixed inputs; raises
-    ConvergenceError when Nelder-Mead does not converge, and ValueError for
-    m above 10**6.
+    refinement, on Python floats, clips (u, v) to the unit square, so the
+    search never leaves the closure of the feasible region, and never ends
+    worse than that first vertex; each point costs one power of b.
+    ``evaluations`` counts every grid cell and every Nelder-Mead evaluation.
+    Deterministic for fixed inputs; raises ConvergenceError when Nelder-Mead
+    does not converge, and ValueError for m above 10**6.
     """
     k = _search_k(m)
-    to_bd = _feasibility_map(m)
-
-    def bd_of(u: float, v: float) -> tuple[float, float]:
-        return to_bd(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
-
-    def value(u: float, v: float) -> float:
-        b, d = bd_of(u, v)
-        try:  # W's body at the exponent fixed above
-            return functionals._W(b, d, k, functionals._w_denominator(b, d, k))
-        except functionals.DenominatorError:
-            return -math.inf
-
     ticks = np.linspace(0.0, 1.0, 64)
     row, col = np.unravel_index(
         int(np.argmax(_grid_values(m, ticks))), (ticks.size, ticks.size)
     )
-    (u_best, v_best), nfev, failure = _nelder_mead(
-        lambda uv: -value(*uv), [float(ticks[row]), float(ticks[col])])
+    (u_best, v_best), _, nfev, failure = _nelder_mead(
+        _w_objective(k), float(ticks[row]), float(ticks[col]))
     if failure is not None:
         raise ConvergenceError(f"Nelder-Mead did not converge for m={m}: {failure}")
     evaluations = ticks.size ** 2 + nfev
-    b, d = bd_of(u_best, v_best)
+    b, d, _, _ = _feasibility_map(k)(_unit(u_best), _unit(v_best))
     return OptimumRecord(m, b, d, W(b, d, m), evaluations)
+
+
+def _curve_point(b, k: float):
+    """(d_opt, x, t_0) at b, a float or an array, for kernel exponent k:
+    the optimal-curve coordinate with the coefficient x = 2 b^(-k) - 1 and
+    the sign change t_0 it is built from.  b is not range-checked."""
+    x = families._coefficient(b, k)
+    t_0 = families._t_0(x, k)
+    rhs = -k * x * b ** (1.0 + k) + 2.0 * (1.0 + k) * t_0
+    return (rhs / ((1.0 + 2.0 * k) * x)) ** (1.0 / (1.0 + k)), x, t_0
 
 
 def _d_opt(b, k: float):
@@ -257,9 +299,7 @@ def _d_opt(b, k: float):
     if inside is not True and not np.all(inside):  # a scalar skips np.all
         raise ValueError(f"b must lie between {near} (closed) and {far} (open), "
                          f"got {np.extract(np.logical_not(inside), b)[0]}")
-    coeff = 2.0 * b ** (-k) - 1.0
-    rhs = -k * coeff * b ** (1.0 + k) + 2.0 * (1.0 + k) * families._t_0(b, k)
-    return (rhs / ((1.0 + 2.0 * k) * coeff)) ** (1.0 / (1.0 + k))
+    return _curve_point(b, k)[0]
 
 
 def d_opt(b: float, m: int) -> float:
@@ -304,6 +344,13 @@ def duality_map(b: float, m: int) -> DualityRecord:
     )
 
 
+def _w_on_curve(b: float, k: float) -> float:
+    """maximize_on_curve's refinement objective, W(b, d_opt(b)) at kernel
+    exponent k from one power of b; b is not range-checked."""
+    d, x, t_0 = _curve_point(b, k)
+    return functionals._W(b, d, k, functionals._w_denominator(b, d, k, x, t_0))
+
+
 def maximize_on_curve(m: int) -> OptimumRecord:
     """Scan b -> W(b, d_opt(b)) at 400 points up to the curve scan end as one
     array, then golden-section on scalar W.  The first scan point with a
@@ -311,8 +358,8 @@ def maximize_on_curve(m: int) -> OptimumRecord:
     raises ValueError."""
     k = _search_k(m)
     grid = np.linspace(families.b_min(m), _curve_scan_end(m), 400)
-    d = _d_opt(grid, k)
-    denominator = functionals._w_denominator(grid, d, k)
+    d, x, t_0 = _curve_point(grid, k)
+    denominator = functionals._w_denominator(grid, d, k, x, t_0)
     if not (denominator > 0.0).all():  # scalar _W raises at the first such b
         i = int(np.argmin(denominator > 0.0))
         functionals._W(float(grid[i]), float(d[i]), k, float(denominator[i]))
@@ -321,8 +368,7 @@ def maximize_on_curve(m: int) -> OptimumRecord:
     def value(b: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        d_at = _d_opt(b, k)
-        return functionals._W(b, d_at, k, functionals._w_denominator(b, d_at, k))
+        return _w_on_curve(b, k)
 
     b_best, best = _scan_then_refine(value, grid, (d - 1.0) / denominator)
     return OptimumRecord(m, b_best, _d_opt(b_best, k), best, evaluations)
@@ -457,7 +503,9 @@ class PushCheckRecord:
     y_cap: float
 
 
-# push_check's (x, z) planes peak at about 6 r^2 floats: 50 MB at r = 1024
+# push_check's (x, z) planes peak at about 6 r^2 floats: 50 MB at r = 1024.
+# They are row-major, as the z grid is once its column-major linspace (freed
+# before the first plane) is copied.
 _PUSH_MAX_RESOLUTION = 1024
 
 
@@ -488,7 +536,8 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
     A nonpositive result (up to grid tolerance) means no admissible (x, y, z)
     beats the curve supremum.  Each x has its own z grid; the ratio is drawn
     one (x, z) plane per y from ``functionals._ratio_planes``, and the first
-    maximum in (x, y, z) order wins ties.
+    maximum in (x, y, z) order wins ties.  The z grid is row-major, so every
+    plane is, and ``_first_max`` reads each in place.
     """
     if not (isinstance(grid_resolution, int)
             and 16 <= grid_resolution <= _PUSH_MAX_RESOLUTION):  # bools are < 16
@@ -501,7 +550,8 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
     xs = np.linspace(1e-6, x_cap, grid_resolution)
     ys = np.linspace(1e-6, y_cap, grid_resolution)
     z_lo = 2.0 * (2.0 - functionals._per_x(math.exp, xs))
-    zs = np.linspace(z_lo, 2.0 - 1e-9, grid_resolution, axis=1)
+    # row-major, so that every (x, z) plane is and argmax reads it in place
+    zs = np.ascontiguousarray(np.linspace(z_lo, 2.0 - 1e-9, grid_resolution, axis=1))
     worst, (ix, iy, iz) = _first_max(functionals._ratio_planes(xs[:, None], zs, ys))
     ratio = functionals._asymptotic_ratio
     ray_zs = np.array([0.5, 1.0, 1.9])

@@ -93,7 +93,8 @@ def _random_spec(rng: np.random.Generator, adjoint: bool = False):
     k = (_adjoint_k if adjoint else _forward_k)(m)
     lo, hi = sorted((families._b_near(k), families._b_far(k)))
     b = lo + u * (hi - lo)
-    lo, hi = sorted((families._t_0(b, k), families._d_far(b, k)))
+    x = families._coefficient(b, k)
+    lo, hi = sorted((families._t_0(x, k), families._d_far(x, k)))
     return (FStarSpecParams if adjoint else FSpecParams)(m, b, lo + v * (hi - lo))
 
 

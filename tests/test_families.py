@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import weaktype
-from weaktype import families
+from weaktype import families, operators
 from weaktype.families import (
     B_SP,
     B_STAR_SP,
@@ -263,6 +263,48 @@ class TestValidate:
         assert name in [diag.name for diag in diagnostics[-2:]]
         with pytest.raises(ConstraintViolation, match=re.escape(name)):
             params(m, b, d)
+
+    @pytest.mark.parametrize(
+        "params,validator,k_of",
+        [(FSpecParams, validate_spec, operators._forward_k),
+         (FStarSpecParams, validate_star_spec, operators._adjoint_k)],
+        ids=["forward", "adjoint"],
+    )
+    def test_params_raise_the_first_unsatisfied_diagnostic(self, params, validator, k_of):
+        # construction reads the slacks alone; it must fail exactly as the
+        # diagnostics do, at their first unsatisfied entry and with its message
+        rng = np.random.default_rng(29)
+        special = [math.nan, 0.0, -1.0, 1e-300, 1e300, math.inf]
+        outcomes = set()
+        for m in (1, 2, 3, 8, 40, 160):
+            k = k_of(m)
+            lo, hi = sorted((families._b_near(k), families._b_far(k)))
+            points = [(b, d) for b in special for d in special]
+            for _ in range(150):
+                u = rng.uniform(-0.2, 1.2)
+                b = lo + u * (hi - lo)
+                # the d-range at the nearest b inside the b-range
+                x = families._coefficient(lo + min(max(u, 0.01), 0.99) * (hi - lo), k)
+                d_lo, d_hi = sorted((families._t_0(x, k), families._d_far(x, k)))
+                points.append((b, d_lo + rng.uniform(-0.2, 1.2) * (d_hi - d_lo)))
+                points.append((b, float(rng.choice(special))))
+            for b, d in points:
+                failed = [diag for diag in validator(m, b, d) if not diag.satisfied]
+                if not failed:
+                    params(m, b, d)
+                    outcomes.add("feasible")
+                    continue
+                first = failed[0]
+                with pytest.raises(ConstraintViolation) as raised:
+                    params(m, b, d)
+                assert str(raised.value) == (
+                    f"constraint violated: {first.name} (slack {first.slack:.6g})")
+                outcomes.add(first.name)
+        names = families._STAR_SPEC_NAMES if params is FStarSpecParams else families._SPEC_NAMES
+        # D fails only beyond the far end of b, which fails before it; the
+        # piece checks are redundant with the d-range
+        pos_b, pos_d, near, far, _, *d_range = names
+        assert outcomes >= {"feasible", pos_b, pos_d, near, far, *d_range[:2]}
 
 
 # One sample call of each public name that derives the kernel exponent from m.

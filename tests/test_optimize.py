@@ -157,10 +157,10 @@ class TestMaximizeWGrid:
         b_win, d_win = _cell(m, ticks[i], ticks[j])
         true_denominator = functionals._w_denominator
 
-        def patched(b, d, k):
+        def patched(b, d, k, *terms):
             # cells with d near or above the unpatched winner's are infeasible:
             # a negative denominator for smaller b, NaN for the rest
-            denominator = true_denominator(b, d, k)
+            denominator = true_denominator(b, d, k, *terms)
             bad = np.where(b < b_win, -denominator, math.nan)
             return np.where(d < d_win * (1.0 - 1e-9), denominator, bad)
 
@@ -226,16 +226,17 @@ class TestNelderMead:
     def test_matches_scipy(self, make_fn, x0, converges):
         search_fn, evaluated = make_fn(), []
 
-        def recorded(v):
-            evaluated.append((v, search_fn(v)))
+        def recorded(u, v):
+            evaluated.append(((u, v), search_fn([u, v])))
             return evaluated[-1][1]
 
-        x, evaluations, failure = optimize._nelder_mead(recorded, list(x0))
+        x, value, evaluations, failure = optimize._nelder_mead(recorded, *x0)
         # the best vertex only ever gives way to a better one, so the search
         # ends no worse than its first vertex x0, where maximize_W puts its
-        # grid winner; the noise revisits points, so vertices match by identity
-        (value,) = [y for v, y in evaluated if v is x]
-        assert evaluated[0][0] == list(x0) and value <= evaluated[0][1]
+        # grid winner; the noise revisits points, so the returned value must
+        # be one the returned point was given
+        assert (x, value) in evaluated
+        assert evaluated[0][0] == x0 and value <= evaluated[0][1]
         fn = make_fn()
         reference = minimize(
             lambda v: fn([float(c) for c in v]),
@@ -250,9 +251,84 @@ class TestNelderMead:
             assert failure == reference.message
 
     def test_walled_start_reaches_the_wall(self):
-        x, _, failure = optimize._nelder_mead(_walled_rosenbrock, [-1.2, 1.0])
+        x, _, _, failure = optimize._nelder_mead(
+            lambda u, v: _walled_rosenbrock([u, v]), -1.2, 1.0)
         assert failure is None
         assert x[0] + 0.5 * x[1] == pytest.approx(1.4, abs=1e-6)
+
+
+_OBJECTIVE_MS = [1, 2, 3, 8, 160, 10**6]
+
+
+class TestObjectives:
+    """The searches' objectives, which share one power of b per point, against
+    the public closed form W, bit for bit."""
+
+    @staticmethod
+    def _points(m, lo, hi, edges):
+        draw = random.Random(m).uniform
+        return edges + [draw(lo, hi) for _ in range(300)]
+
+    @pytest.mark.parametrize("m", _OBJECTIVE_MS)
+    def test_nelder_mead_objective_is_minus_W(self, m):
+        objective = optimize._w_objective(optimize._forward_k(m))
+        us = self._points(m, -0.1, 1.1, [-0.1, 0.0, 1.0, 1.1])
+        vs = self._points(m + 1, -0.1, 1.1, [-0.1, 0.0, 1.0, 1.1])
+        for u, v in [*zip(us, vs), *((u, v) for u in us[:4] for v in vs[:4])]:
+            b, d = _cell(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
+            assert objective(u, v).hex() == (-W(b, d, m)).hex(), (u, v)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+    def test_nelder_mead_objective_is_inf_where_W_raises(self, monkeypatch, bad):
+        m = 3
+        true_denominator = functionals._w_denominator
+
+        def patched(b, d, k, *terms):
+            # nonpositive or NaN on the upper half of the d-range
+            denominator = true_denominator(b, d, k, *terms)
+            return bad * abs(denominator) if d > d_min(b, m) + 0.5 * (
+                d_max(b, m) - d_min(b, m)) else denominator
+
+        monkeypatch.setattr(functionals, "_w_denominator", patched)
+        objective = optimize._w_objective(optimize._forward_k(m))
+        raised = 0
+        for u, v in zip(self._points(m, -0.1, 1.1, [0.0, 1.0]),
+                        self._points(m + 1, -0.1, 1.1, [1.0, 0.0])):
+            b, d = _cell(m, min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
+            try:
+                expected = -W(b, d, m)
+            except DenominatorError:
+                expected, raised = math.inf, raised + 1
+            assert objective(u, v).hex() == expected.hex(), (u, v)
+        assert 0 < raised < 302
+
+    @pytest.mark.parametrize("m", _OBJECTIVE_MS)
+    def test_curve_objective_is_W_on_the_curve(self, m):
+        k = optimize._forward_k(m)
+        lo, hi = b_min(m), _curve_scan_end(m)
+        for b in self._points(m, lo, hi, [lo, hi]):
+            assert optimize._w_on_curve(b, k).hex() == W(b, d_opt(b, m), m).hex(), b
+
+    def test_curve_objective_raises_where_W_raises(self, monkeypatch):
+        m = 3
+        k = optimize._forward_k(m)
+        lo, hi = b_min(m), _curve_scan_end(m)
+        true_denominator = functionals._w_denominator
+
+        def patched(b, d, k, *terms):
+            # negative on the upper half of the b-range
+            denominator = true_denominator(b, d, k, *terms)
+            return -denominator if b > 0.5 * (lo + hi) else denominator
+
+        monkeypatch.setattr(functionals, "_w_denominator", patched)
+        for b in self._points(m, lo, hi, [lo, hi]):
+            if b > 0.5 * (lo + hi):
+                with pytest.raises(DenominatorError):
+                    W(b, d_opt(b, m), m)
+                with pytest.raises(DenominatorError):
+                    optimize._w_on_curve(b, k)
+            else:
+                assert optimize._w_on_curve(b, k).hex() == W(b, d_opt(b, m), m).hex()
 
 
 def test_optimizer_records_match_the_recorded_outputs():
@@ -300,14 +376,17 @@ class TestDOpt:
         with pytest.raises(ValueError, match=re.escape(f"got {math.nan}")):
             optimize._d_opt(np.array([math.nan, *inside]), k)
 
-    @pytest.mark.parametrize("m", [1, 2, 6, 40])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 10, 40, 160])
     def test_array_matches_scalar(self, m):
-        # array pow may differ from libm pow in the last bit
+        # maximize_on_curve's scan grid; array pow may differ from libm pow in
+        # the last bit, scaled near b_max by the condition number of
+        # x = 2 b^(-k) - 1, as for the families' boundary functions
         k = optimize._forward_k(m)
-        grid = np.linspace(b_min(m), _curve_scan_end(m), 50)
-        scalar = [optimize._d_opt(float(b), k) for b in grid]
-        rtol = 8.0 * (m + 2.0) * np.finfo(float).eps
-        np.testing.assert_allclose(optimize._d_opt(grid, k), scalar, rtol=rtol, atol=0.0)
+        grid = np.linspace(b_min(m), _curve_scan_end(m), 400)
+        scalar = np.array([optimize._d_opt(b, k) for b in grid.tolist()])
+        x = np.array([2.0 * b ** (-k) - 1.0 for b in grid.tolist()])
+        rtol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((x + 1.0) / (k * x)))
+        assert np.all(np.abs(optimize._d_opt(grid, k) - scalar) <= rtol * scalar)
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     def test_monotone_and_sandwiched(self, m):
@@ -419,9 +498,9 @@ class TestMaximizeOnCurve:
         grid = np.linspace(b_min(m), _curve_scan_end(m), 400)
         true_denominator = functionals._w_denominator
 
-        def patched(b, d, k):
+        def patched(b, d, k, *terms):
             # nonpositive or NaN from the index-th scan point on
-            denominator = true_denominator(b, d, k)
+            denominator = true_denominator(b, d, k, *terms)
             return np.where(b >= grid[index], bad * np.abs(denominator), denominator)
 
         monkeypatch.setattr(functionals, "_w_denominator", patched)
@@ -582,8 +661,9 @@ class TestPushCheck:
         assert report.status is verify.Status.FAIL
 
     def test_planes_follow_the_memory_order_of_z(self, monkeypatch):
-        # push_check's z grid is column-major; planes in another order make
-        # every in-place step of the y sweep stride across memory
+        # push_check's z grid is row-major, so every plane is too and
+        # _first_max's argmax reads it without a copy; planes in another order
+        # would make every in-place step of the y sweep stride across memory
         ratio_planes, strides = functionals._ratio_planes, []
 
         def spy(x, z, ys):
@@ -594,8 +674,23 @@ class TestPushCheck:
         monkeypatch.setattr(functionals, "_ratio_planes", spy)
         push_check(32)
         grid = strides[:32]  # then the ray check's one-plane calls
-        assert all(z == (8, 8 * 32) for z, _ in grid)
+        assert all(z == (8 * 32, 8) for z, _ in grid)
         assert all(plane == z for z, plane in grid)
+
+    @pytest.mark.parametrize("resolution", [16, 17, 32])
+    def test_planes_do_not_depend_on_the_memory_order_of_z(self, resolution):
+        # push_check's z grid, as built column-major and as copied row-major
+        xs = np.linspace(1e-6, 3.0, resolution)
+        ys = np.linspace(1e-6, 5.0, resolution)
+        z_lo = 2.0 * (2.0 - functionals._per_x(math.exp, xs))
+        column_major = np.linspace(z_lo, 2.0 - 1e-9, resolution, axis=1)
+        row_major = np.ascontiguousarray(column_major)
+        assert column_major.flags.f_contiguous and row_major.flags.c_contiguous
+        planes = zip(functionals._ratio_planes(xs[:, None], column_major, ys),
+                     functionals._ratio_planes(xs[:, None], row_major, ys))
+        for count, (column_plane, row_plane) in enumerate(planes, start=1):
+            assert column_plane.tobytes(order="C") == row_plane.tobytes(order="C")
+        assert count == resolution
 
     def test_nan_at_a_ray_end_fails_the_ray_check(self, monkeypatch):
         ratio = functionals._asymptotic_ratio
