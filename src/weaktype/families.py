@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .operators import _adjoint_k, _check_m, _forward_k
 from .piecewise import PiecewisePowerFunction, PowerPiece
 
 __all__ = [
     "ConstraintViolation",
-    "ConstraintDiagnostic",
     "GeneralFamilyParams",
     "GeneralStarFamilyParams",
     "FSpecParams",
@@ -46,8 +47,6 @@ __all__ = [
     "build_general_star",
     "build_spec",
     "build_star_spec",
-    "validate_spec",
-    "validate_star_spec",
 ]
 
 # Endpoint of the forward m=1 curve scan where the curve optimum leaves the
@@ -58,15 +57,6 @@ B_STAR_SP = (27.0 / (54.0 - 16.0 * (2.0 - 7.0 ** (1.0 / 3.0)) ** 3)) ** (2.0 / 3
 
 class ConstraintViolation(ValueError):
     """A family parameter violates a named feasibility inequality."""
-
-
-@dataclass(frozen=True)
-class ConstraintDiagnostic:
-    """One inequality with its signed slack (positive means satisfied)."""
-
-    name: str
-    slack: float
-    satisfied: bool
 
 
 # --- shared closed forms in the kernel exponent k -------------------------------
@@ -143,15 +133,28 @@ def b_max(m: int) -> float:
     return _b_far(_forward_k(m))
 
 
+def _checked_coefficient(b, k: float, names: tuple[str, ...]):
+    """_coefficient(b, k), b a float or an array, once b > 0 and then x > 0
+    hold elementwise: past the far end of the b-range x is not > 0, and t_0
+    and d_far have no value.  The first element that fails raises under the
+    restricted walk's name and slack, b or D, which has the sign of x."""
+    values = b.ravel().tolist() if isinstance(b, np.ndarray) else [b]
+    _raise_on_slack((names[0], v) for v in values if not v > 0.0)
+    x = _coefficient(b, k)
+    values = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+    _raise_on_slack((names[4], (1.0 + 2.0 * k) / k * v) for v in values if not v > 0.0)
+    return x
+
+
 def d_min(b: float, m: int) -> float:
     """The sign change t_0 of the second restricted piece."""
     k = _forward_k(m)
-    return _t_0(_coefficient(b, k), k)
+    return _t_0(_checked_coefficient(b, k, _SPEC_NAMES), k)
 
 
 def d_max(b: float, m: int) -> float:
     k = _forward_k(m)
-    return _d_far(_coefficient(b, k), k)
+    return _d_far(_checked_coefficient(b, k, _SPEC_NAMES), k)
 
 
 def b_star_min(m: int) -> float:
@@ -165,32 +168,32 @@ def b_star_max(m: int) -> float:
 def d_star_max(b_star: float, m: int) -> float:
     """The sign change t_0* of the inner adjoint piece."""
     k = _adjoint_k(m)
-    return _t_0(_coefficient(b_star, k), k)
+    return _t_0(_checked_coefficient(b_star, k, _STAR_SPEC_NAMES), k)
 
 
 def d_star_min(b_star: float, m: int) -> float:
     k = _adjoint_k(m)
-    return _d_far(_coefficient(b_star, k), k)
+    return _d_far(_checked_coefficient(b_star, k, _STAR_SPEC_NAMES), k)
 
 
 # --- parameter types ---------------------------------------------------------
 
 def _validate_chain(
     m: int, names: tuple[str, ...], x0: float, x1: float, x2: float, x3: float
-) -> list[ConstraintDiagnostic]:
-    """Slack of the ordering chain 0 < x0 < x1 <= x2 < x3 < inf over the
-    ascending endpoints of a general family.  The far end x3 is the one end
-    the ordering leaves free to be infinite; its slack to inf is +-inf."""
+):
+    """(name, slack) of the ordering chain 0 < x0 < x1 <= x2 < x3 < inf over
+    the ascending endpoints of a general family.  The one non-strict link
+    x2 >= x1 has a slack only where its ends differ.  The far end x3 is the
+    one end the ordering leaves free to be infinite; its slack to inf is
+    +-inf."""
     _check_m(m)
     n0, n1, n2, n3, n4 = names
-    finite = math.isfinite(x3)
-    return [
-        ConstraintDiagnostic(n0, x0, x0 > 0.0),
-        ConstraintDiagnostic(n1, x1 - x0, x1 > x0),
-        ConstraintDiagnostic(n2, x2 - x1, x2 >= x1),
-        ConstraintDiagnostic(n3, x3 - x2, x3 > x2),
-        ConstraintDiagnostic(n4, math.inf if finite else -math.inf, finite),
-    ]
+    yield n0, x0
+    yield n1, x1 - x0
+    if x2 != x1:
+        yield n2, x2 - x1
+    yield n3, x3 - x2
+    yield n4, math.inf if math.isfinite(x3) else -math.inf
 
 
 # General-family ordering names over the ascending endpoints: (a, b, c, d)
@@ -217,74 +220,34 @@ def _validate_restricted(k: float, b: float, d: float, names: tuple[str, ...]):
     """(name, slack) of every restricted-family constraint at (b, d), in the
     kernel exponent k; a slack is satisfied when it is > 0.  The orientation
     turns each forward slack into its mirror.  The pairs are drawn one by
-    one, and stop where the remaining slacks are undefined."""
+    one, and are read only up to the first unsatisfied slack: each later
+    slack is defined only where every earlier one is satisfied."""
     pos_b, pos_d, near, far, coeff, *pieces = names
     yield pos_b, b
     yield pos_d, d
-    if b <= 0.0 or d <= 0.0:
-        return
     s = _orientation(k)
     yield near, s * (b - _b_near(k))
     yield far, s * (_b_far(k) - b)
-    try:
-        dd = _spec_D(b, k)
-    except OverflowError:  # b**(-k) overflows only far beyond the near end
-        return
+    dd = _spec_D(b, k)
     yield coeff, dd
-    if dd <= 0.0 or dd == math.inf:  # inf only at b* = inf, where d*_min divides by 0
-        return
     x = _coefficient(b, k)
     yield pieces[0], s * (d - _t_0(x, k))
     yield pieces[1], s * (_d_far(x, k) - d)
-    try:
-        d_k = d ** k
-    except OverflowError:  # d**k overflows only far beyond the d-range
-        return
     const = (1.0 + k) / k
     at_b = -const + dd * b ** k
-    at_d = -const + dd * d_k
+    at_d = -const + dd * d ** k
     yield pieces[2], -at_b
     yield pieces[3], at_d
     yield pieces[4], 2.0 - at_d
 
 
-def _diagnostics(slacks) -> list[ConstraintDiagnostic]:
-    return [ConstraintDiagnostic(name, slack, slack > 0.0) for name, slack in slacks]
-
-
-def validate_spec(m: int, b: float, d: float) -> list[ConstraintDiagnostic]:
-    """Slack of every restricted-family constraint at (b, d).
-
-    The derived interval constraints are canonical; the raw inequality chain
-    on the second piece is kept as a redundant cross-check.
-    """
-    return _diagnostics(_validate_restricted(_forward_k(m), b, d, _SPEC_NAMES))
-
-
-def validate_star_spec(
-    m: int, b_star: float, d_star: float
-) -> list[ConstraintDiagnostic]:
-    """Adjoint counterpart of validate_spec at (b*, d*): the same constraints
-    at k = -1 - m/2, named for the mirrored intervals."""
-    return _diagnostics(
-        _validate_restricted(_adjoint_k(m), b_star, d_star, _STAR_SPEC_NAMES))
-
-
-def _violation(name: str, slack: float) -> ConstraintViolation:
-    return ConstraintViolation(f"constraint violated: {name} (slack {slack:.6g})")
-
-
-def _raise_on_failure(diagnostics) -> None:
-    for diag in diagnostics:
-        if not diag.satisfied:
-            raise _violation(diag.name, diag.slack)
-
-
 def _raise_on_slack(slacks) -> None:
-    """Raise on the first (name, slack) pair whose slack is not > 0."""
+    """Raise ConstraintViolation at the first (name, slack) pair whose slack
+    is not > 0, drawing no pair after it."""
     for name, slack in slacks:
         if not slack > 0.0:
-            raise _violation(name, slack)
+            raise ConstraintViolation(
+                f"constraint violated: {name} (slack {slack:.6g})")
 
 
 @dataclass(frozen=True)
@@ -298,7 +261,7 @@ class GeneralFamilyParams:
     d: float
 
     def __post_init__(self) -> None:
-        _raise_on_failure(_validate_chain(
+        _raise_on_slack(_validate_chain(
             self.m, _GENERAL_NAMES, self.a, self.b, self.c, self.d
         ))
 
@@ -317,7 +280,7 @@ class GeneralStarFamilyParams:
     d_star: float
 
     def __post_init__(self) -> None:
-        _raise_on_failure(_validate_chain(
+        _raise_on_slack(_validate_chain(
             self.m, _GENERAL_STAR_NAMES,
             self.d_star, self.c_star, self.b_star, self.a_star,
         ))
@@ -327,9 +290,10 @@ class GeneralStarFamilyParams:
 class FSpecParams:
     """A point (b, d) of the open restricted feasible region for parameter m.
 
-    Construction reads the slacks of ``validate_spec`` alone and raises
-    ConstraintViolation at the first that is not positive, with the message
-    of that diagnostic; it builds no ConstraintDiagnostic.
+    Construction walks the restricted-family slacks in order, from b > 0
+    through the d-range to the values of the second piece, and raises
+    ConstraintViolation, naming the constraint and its slack, at the first
+    that is not positive.
     """
 
     m: int
@@ -344,7 +308,8 @@ class FSpecParams:
 @dataclass(frozen=True)
 class FStarSpecParams:
     """A point (b*, d*) of the adjoint restricted feasible region for parameter m,
-    checked as ``FSpecParams`` is, on the slacks of ``validate_star_spec``."""
+    checked as ``FSpecParams`` is, on the same slacks at the adjoint exponent,
+    named for the mirrored intervals."""
 
     m: int
     b_star: float

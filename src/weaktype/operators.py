@@ -152,16 +152,19 @@ def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> 
     prefactor is (1+2k) t**(-1-k) signed by the orientation of the integral
     (0 up to t, or infinity down to t), so it is positive.
     """
-    if not t > 0.0:
+    if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive, got {t}")
     k = op.k
     if op.kind is Kind.LAMBDA:
         lo, hi, sign = 0.0, t, 1.0
     else:
         lo, hi, sign = t, f.support()[1], -1.0
+    # no piece meets (lo, hi): the integral is 0, and the prefactor, which
+    # can overflow there, is not formed
+    if not any(pc.t_lo < hi and lo < pc.t_hi for pc in f.pieces):
+        return 0.0 - evaluate(f, t)
     prefactor = sign * (1.0 + 2.0 * k) * t ** (-1.0 - k)
-    integral = moment_integral(f, k, lo, hi) if lo < hi else 0.0
-    return prefactor * integral - evaluate(f, t)
+    return prefactor * moment_integral(f, k, lo, hi) - evaluate(f, t)
 
 
 @np.errstate(all="ignore")
@@ -181,7 +184,7 @@ def apply_quadrature_oracle(
     """
     points = np.asarray(t, dtype=float)
     flat = points.ravel()
-    bad = ~(flat > 0.0)
+    bad = ~((flat > 0.0) & (flat < np.inf))
     if bad.any():
         raise ValueError(
             f"t must be positive, got {t if points.ndim == 0 else flat[bad.argmax()]}"
@@ -197,8 +200,11 @@ def apply_quadrature_oracle(
     a = np.maximum(np.zeros_like(col) if forward else col, t_lo)
     b = np.minimum(col if forward else np.full_like(col, np.inf), t_hi)
     prefactor = (1.0 if forward else -1.0) * (1.0 + 2.0 * op.k) * flat ** (-1.0 - op.k)
-    # an underflowed prefactor leaves no integral term to check
-    owner, piece = np.nonzero((a < b) & (prefactor != 0.0)[:, None])
+    meets = a < b
+    # where no piece meets the range the prefactor, which can overflow there,
+    # is not used; an underflowed one leaves no integral term to check
+    prefactor[~meets.any(axis=1)] = 0.0
+    owner, piece = np.nonzero(meets & (prefactor != 0.0)[:, None])
     a, b = a[owner, piece], b[owner, piece]
     budget = tol / (np.abs(prefactor[owner]) * np.bincount(owner)[owner])
     coeffs = np.stack([c0[piece], c1[piece]])

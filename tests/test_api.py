@@ -19,7 +19,6 @@ from weaktype import cli
 PUBLIC = [
     "cli.main",
     "families.ConstraintViolation",
-    "families.ConstraintDiagnostic",
     "families.GeneralFamilyParams",
     "families.GeneralStarFamilyParams",
     "families.FSpecParams",
@@ -38,8 +37,6 @@ PUBLIC = [
     "families.build_general_star",
     "families.build_spec",
     "families.build_star_spec",
-    "families.validate_spec",
-    "families.validate_star_spec",
     "functionals.DenominatorError",
     "functionals.RatioReport",
     "functionals.W",

@@ -26,8 +26,6 @@ from weaktype.families import (
     d_min,
     d_star_max,
     d_star_min,
-    validate_spec,
-    validate_star_spec,
 )
 from weaktype.operators import apply_closed_form, lambda_op, lambda_star_op
 from weaktype.piecewise import _interior_root, evaluate
@@ -106,13 +104,69 @@ class TestBuildGeneralStar:
             GeneralStarFamilyParams(1, math.inf, 0.5, 0.4, 0.3)
 
     def test_validate_accepts_params(self):
-        diagnostics = families._validate_chain(
+        slacks = list(families._validate_chain(
             2, families._GENERAL_STAR_NAMES, 0.3, 0.6, 0.8, 1.0
-        )
-        assert [diag.name for diag in diagnostics] == [
+        ))
+        assert [name for name, _ in slacks] == [
             "d* > 0", "c* > d*", "b* >= c*", "a* > b*", "a* < inf"
         ]
-        assert all(diag.satisfied for diag in diagnostics)
+        assert all(slack > 0.0 for _, slack in slacks)
+
+
+def _ref_chain(names, x0, x1, x2, x3):
+    """The general-family ordering 0 < x0 < x1 <= x2 < x3 < inf stated link by
+    link, comparisons for the verdicts and differences for the slacks: the
+    ConstraintViolation message at the first link that fails, or None."""
+    links = [
+        (x0, x0 > 0.0),
+        (x1 - x0, x1 > x0),
+        (x2 - x1, x2 >= x1),
+        (x3 - x2, x3 > x2),
+        (math.inf if math.isfinite(x3) else -math.inf, math.isfinite(x3)),
+    ]
+    for name, (slack, ok) in zip(names, links):
+        if not ok:
+            return f"constraint violated: {name} (slack {slack:.6g})"
+    return None
+
+
+_SPECIAL = [math.nan, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e20, 1e100, 1e300,
+            math.inf, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "params,names,ascending",
+    [(GeneralFamilyParams, families._GENERAL_NAMES, lambda xs: xs),
+     (GeneralStarFamilyParams, families._GENERAL_STAR_NAMES, lambda xs: xs[::-1])],
+    ids=["forward", "adjoint"],
+)
+def test_general_chain_matches_the_ordering_rule(params, names, ascending):
+    # construction raises at the first failing link of the ordering, with its
+    # slack, and accepts exactly the ordered points, c = b included
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for m in (1, 2, 7, 40):
+        for _ in range(1500):
+            xs = sorted(rng.uniform(0.05, 5.0, 4).tolist())
+            if rng.uniform() < 0.3:
+                xs[2] = xs[1]
+            if rng.uniform() < 0.2:
+                rng.shuffle(xs)
+            xs = [float(rng.choice(_SPECIAL)) if rng.uniform() < 0.1 else x
+                  for x in xs]
+            if rng.uniform() < 0.05:
+                xs[2] = xs[1]
+            expected = _ref_chain(names, *xs)
+            args = ascending(xs)  # GeneralStarFamilyParams takes a*, b*, c*, d*
+            if expected is None:
+                params(m, *args)
+                outcomes.add("c = b" if xs[2] == xs[1] else "feasible")
+                continue
+            with pytest.raises(ConstraintViolation) as raised:
+                params(m, *args)
+            assert str(raised.value) == expected
+            outcomes.add(expected.split(" (")[0].removeprefix("constraint violated: "))
+    assert outcomes == {"feasible", "c = b", *names}
 
 
 class TestBuildSpec:
@@ -160,7 +214,11 @@ class TestBuildStarSpec:
         m = 3
         bs = 0.5 * (b_star_min(m) + b_star_max(m))
         ds = 0.5 * (d_star_min(bs, m) + d_star_max(bs, m))
-        assert all(diag.satisfied for diag in validate_star_spec(m, bs, ds))
+        FStarSpecParams(m, bs, ds)
+        slacks = list(families._validate_restricted(
+            -1.0 - m / 2.0, bs, ds, families._STAR_SPEC_NAMES))
+        assert len(slacks) == 10
+        assert all(slack > 0.0 for _, slack in slacks)
 
 
 class TestBoundaries:
@@ -207,22 +265,65 @@ class TestBoundaries:
         rtol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((x + 1.0) / (k * x)))
         assert np.all(np.abs(fn(grid, m) - scalar) <= rtol * scalar)
 
+    @pytest.mark.parametrize(
+        "fn, b, m, message",
+        [
+            (d_min, 3.0, 2, "D(b, m) > 0 (slack -1)"),
+            (d_max, 3.0, 2, "D(b, m) > 0 (slack -1)"),
+            (d_min, 3.0, 3, "D(b, m) > 0 (slack -1.64027)"),
+            (d_min, b_max(2), 2, "D(b, m) > 0 (slack 0)"),
+            (d_star_max, 0.1, 2, "D*(b*, m) > 0 (slack -1.47)"),
+            (d_star_min, 0.1, 2, "D*(b*, m) > 0 (slack -1.47)"),
+            (d_max, math.nan, 2, "b > 0 (slack nan)"),
+            (d_min, 0.0, 2, "b > 0 (slack 0)"),
+            (d_star_max, -1.0, 3, "b* > 0 (slack -1)"),
+            (d_min, np.array([1.5, 1.8, 3.0, 2.5]), 2, "D(b, m) > 0 (slack -1)"),
+            (d_star_min, np.array([0.7, 0.8, -1.0, 0.0]), 2, "b* > 0 (slack -1)"),
+            (d_max, np.array([1.5, math.nan]), 2, "b > 0 (slack nan)"),
+        ],
+    )
+    def test_past_the_far_end_rejected(self, fn, b, m, message):
+        # x = 2 b^(-k) - 1 is not > 0 there: these returned negative, complex
+        # or ZeroDivisionError; an array reports its first bad element
+        with pytest.raises(ConstraintViolation,
+                           match=f"^constraint violated: {re.escape(message)}$"):
+            fn(b, m)
+
+    def test_near_side_keeps_its_value(self):
+        # b below b_min has x > 0: the closed forms stay finite and unchecked
+        for fn, b, m, k in [(d_min, 1.0, 2, 1.0), (d_max, 1.0, 2, 1.0),
+                            (d_star_max, 0.95, 2, -2.0), (d_star_min, 0.95, 2, -2.0)]:
+            x = families._coefficient(b, k)
+            far = fn in (d_max, d_star_min)
+            assert fn(b, m) == (families._d_far(x, k) if far else families._t_0(x, k))
+
+
+def _walk_to_first_failure(k, b, d, names):
+    """The restricted walk's (name, slack) pairs as construction reads them:
+    up to and including the first slack that is not > 0."""
+    out = []
+    for name, slack in families._validate_restricted(k, b, d, names):
+        out.append((name, slack))
+        if not slack > 0.0:
+            break
+    return out
+
 
 class TestValidate:
     def test_feasible_point_all_positive(self):
-        diagnostics = validate_spec(1, 2.157, 6.623)
-        assert all(diag.satisfied for diag in diagnostics)
-        assert all(diag.slack > 0 for diag in diagnostics)
+        slacks = list(families._validate_restricted(
+            0.5, 2.157, 6.623, families._SPEC_NAMES))
+        assert [name for name, _ in slacks] == list(families._SPEC_NAMES)
+        assert all(slack > 0.0 for _, slack in slacks)
+        FSpecParams(1, 2.157, 6.623)
 
     def test_b_below_b_min_flagged(self):
-        diagnostics = validate_spec(1, 1.0, 2.0)
-        failing = [diag.name for diag in diagnostics if not diag.satisfied]
-        assert "b > b_min" in failing
+        with pytest.raises(ConstraintViolation, match=re.escape("b > b_min")):
+            FSpecParams(1, 1.0, 2.0)
 
     def test_d_above_d_max_flagged(self):
-        diagnostics = validate_spec(2, 1.566, d_max(1.566, 2) * 1.01)
-        failing = [diag.name for diag in diagnostics if not diag.satisfied]
-        assert "d < d_max(b)" in failing
+        with pytest.raises(ConstraintViolation, match=re.escape("d < d_max(b)")):
+            FSpecParams(2, 1.566, d_max(1.566, 2) * 1.01)
 
     @pytest.mark.parametrize("m", [np.int64(3), True, 2.0, 0])
     @pytest.mark.parametrize(
@@ -249,32 +350,36 @@ class TestValidate:
             params(40, b, 0.5)
 
     @pytest.mark.parametrize(
-        "params,validator,m,b,d,name",
+        "params,k_of,m,b,d,name",
         [
-            (FSpecParams, validate_spec, 40, 1.03, 1e30, "d < d_max(b)"),
-            (FStarSpecParams, validate_star_spec, 8, 0.9, 1e-80, "d* > d*_min(b*)"),
+            (FSpecParams, operators._forward_k, 40, 1.03, 1e30, "d < d_max(b)"),
+            (FStarSpecParams, operators._adjoint_k, 8, 0.9, 1e-80, "d* > d*_min(b*)"),
         ],
+        ids=["forward", "adjoint"],
     )
-    def test_d_far_beyond_its_range_rejected(self, params, validator, m, b, d, name):
-        # d**k overflows there, so the piece values at d are not computed; the
-        # diagnostics stop after the d-range, whose far end fails
-        diagnostics = validator(m, b, d)
-        assert [diag.name for diag in diagnostics if not diag.satisfied] == [name]
-        assert name in [diag.name for diag in diagnostics[-2:]]
+    def test_d_far_beyond_its_range_rejected(self, params, k_of, m, b, d, name):
+        # d**k overflows there; the walk stops at the d-range, whose far end
+        # fails, before the piece values at d
+        names = families._STAR_SPEC_NAMES if params is FStarSpecParams else families._SPEC_NAMES
+        walk = _walk_to_first_failure(k_of(m), b, d, names)
+        assert [pair[0] for pair in walk] == list(names[:7])
+        assert walk[-1][0] == name
         with pytest.raises(ConstraintViolation, match=re.escape(name)):
             params(m, b, d)
 
     @pytest.mark.parametrize(
-        "params,validator,k_of",
-        [(FSpecParams, validate_spec, operators._forward_k),
-         (FStarSpecParams, validate_star_spec, operators._adjoint_k)],
+        "params,k_of",
+        [(FSpecParams, operators._forward_k),
+         (FStarSpecParams, operators._adjoint_k)],
         ids=["forward", "adjoint"],
     )
-    def test_params_raise_the_first_unsatisfied_diagnostic(self, params, validator, k_of):
-        # construction reads the slacks alone; it must fail exactly as the
-        # diagnostics do, at their first unsatisfied entry and with its message
+    def test_params_raise_the_first_unsatisfied_diagnostic(self, params, k_of):
+        # construction fails at the walk's first unsatisfied slack, with its
+        # name and slack, and accepts where all ten are satisfied; the walk
+        # raises nothing else when read only that far
         rng = np.random.default_rng(29)
         special = [math.nan, 0.0, -1.0, 1e-300, 1e300, math.inf]
+        names = families._STAR_SPEC_NAMES if params is FStarSpecParams else families._SPEC_NAMES
         outcomes = set()
         for m in (1, 2, 3, 8, 40, 160):
             k = k_of(m)
@@ -289,18 +394,18 @@ class TestValidate:
                 points.append((b, d_lo + rng.uniform(-0.2, 1.2) * (d_hi - d_lo)))
                 points.append((b, float(rng.choice(special))))
             for b, d in points:
-                failed = [diag for diag in validator(m, b, d) if not diag.satisfied]
-                if not failed:
+                walk = _walk_to_first_failure(k, b, d, names)
+                name, slack = walk[-1]
+                if slack > 0.0:
+                    assert len(walk) == len(names)
                     params(m, b, d)
                     outcomes.add("feasible")
                     continue
-                first = failed[0]
                 with pytest.raises(ConstraintViolation) as raised:
                     params(m, b, d)
                 assert str(raised.value) == (
-                    f"constraint violated: {first.name} (slack {first.slack:.6g})")
-                outcomes.add(first.name)
-        names = families._STAR_SPEC_NAMES if params is FStarSpecParams else families._SPEC_NAMES
+                    f"constraint violated: {name} (slack {slack:.6g})")
+                outcomes.add(name)
         # D fails only beyond the far end of b, which fails before it; the
         # piece checks are redundant with the d-range
         pos_b, pos_d, near, far, _, *d_range = names

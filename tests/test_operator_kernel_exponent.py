@@ -3,8 +3,9 @@ exponent k, against the two-branch code they replaced, kept here verbatim as a
 test-only reference.
 
 apply_closed_form and eigenvalue must agree bit for bit in both directions,
-and forward eigen_check too.  The forward restricted diagnostics must agree as
-float hex, and the adjoint verdicts must agree.
+and forward eigen_check too.  The forward restricted walk must agree as float
+hex up to its first unsatisfied slack, and adjoint construction must accept
+exactly where the reference does.
 
 The QUADPACK oracle (``scipy.integrate.quad``) stays here as the independent
 route for the Gauss-Legendre oracle: the two must agree to within twice the
@@ -14,12 +15,13 @@ form, fail only where QUADPACK fails too, and give the same bits in a batch
 as point by point.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from weaktype import families
 from weaktype.families import (
-    ConstraintDiagnostic,
     ConstraintViolation,
     FSpecParams,
     FStarSpecParams,
@@ -140,19 +142,28 @@ def _ref_eigen_check(op, alpha, t_samples):
     return worst
 
 
+@dataclass(frozen=True)
+class _Diagnostic:
+    """One inequality of the reference validators with its signed slack."""
+
+    name: str
+    slack: float
+    satisfied: bool
+
+
 def _ref_validate_spec(m, b, d, closure=False):
     out = [
-        ConstraintDiagnostic("b > 0", b, b > 0.0),
-        ConstraintDiagnostic("d > 0", d, d > 0.0),
+        _Diagnostic("b > 0", b, b > 0.0),
+        _Diagnostic("d > 0", d, d > 0.0),
     ]
     if b <= 0.0 or d <= 0.0:
         return out
     dd = families._spec_D(b, m / 2.0)
     lo, hi = families.b_min(m), families.b_max(m)
-    out.append(ConstraintDiagnostic("b > b_min" if not closure else "b >= b_min",
-                                    b - lo, b >= lo if closure else b > lo))
-    out.append(ConstraintDiagnostic("b < b_max", hi - b, b < hi))
-    out.append(ConstraintDiagnostic("D(b, m) > 0", dd, dd > 0.0))
+    out.append(_Diagnostic("b > b_min" if not closure else "b >= b_min",
+                           b - lo, b >= lo if closure else b > lo))
+    out.append(_Diagnostic("b < b_max", hi - b, b < hi))
+    out.append(_Diagnostic("D(b, m) > 0", dd, dd > 0.0))
     if dd <= 0.0:
         return out
     at_b = -(2.0 + m) / m + dd * b ** (m / 2.0)
@@ -166,24 +177,24 @@ def _ref_validate_spec(m, b, d, closure=False):
     ]
     for name, slack in relaxable:
         ok = slack >= 0.0 if closure else slack > 0.0
-        out.append(ConstraintDiagnostic(name, slack, ok))
+        out.append(_Diagnostic(name, slack, ok))
     return out
 
 
 def _ref_validate_star_spec(m, b_star, d_star, closure=False):
     out = [
-        ConstraintDiagnostic("d* > 0", d_star, d_star > 0.0),
-        ConstraintDiagnostic("b* > d*", b_star - d_star, b_star > d_star),
-        ConstraintDiagnostic("b* < 1", 1.0 - b_star, b_star < 1.0),
+        _Diagnostic("d* > 0", d_star, d_star > 0.0),
+        _Diagnostic("b* > d*", b_star - d_star, b_star > d_star),
+        _Diagnostic("b* < 1", 1.0 - b_star, b_star < 1.0),
     ]
     if d_star <= 0.0 or not d_star < b_star < 1.0:
         return out
     dd = families._spec_D(b_star, -1.0 - m / 2.0)
     b_star_min = families.b_star_min(m)
     out.append(
-        ConstraintDiagnostic("b* > b*_min", b_star - b_star_min, b_star > b_star_min)
+        _Diagnostic("b* > b*_min", b_star - b_star_min, b_star > b_star_min)
     )
-    out.append(ConstraintDiagnostic("D*(b*, m) > 0", dd, dd > 0.0))
+    out.append(_Diagnostic("D*(b*, m) > 0", dd, dd > 0.0))
     if dd <= 0.0:
         return out
     at_b = -m / (2.0 + m) + dd * b_star ** (-1.0 - m / 2.0)
@@ -198,7 +209,7 @@ def _ref_validate_star_spec(m, b_star, d_star, closure=False):
     ]
     for name, slack in relaxable:
         ok = slack >= 0.0 if closure else slack > 0.0
-        out.append(ConstraintDiagnostic(name, slack, ok))
+        out.append(_Diagnostic(name, slack, ok))
     return out
 
 
@@ -407,27 +418,41 @@ def _validator_points(seed, forward):
     return out
 
 
-def _listing(diagnostics):
-    return [(diag.name, diag.slack.hex(), diag.satisfied) for diag in diagnostics]
-
-
-def _verdict(diagnostics):
-    return all(diag.satisfied for diag in diagnostics)
+def _to_first_failure(entries):
+    """(name, slack as hex) of the (name, slack, satisfied) entries up to and
+    including the first unsatisfied one, as construction reads them."""
+    out = []
+    for name, slack, satisfied in entries:
+        out.append((name, slack.hex()))
+        if not satisfied:
+            break
+    return out
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_forward_diagnostics_match_as_hex(seed):
     for m, b, d in _validator_points(seed, forward=True):
-        assert _listing(families.validate_spec(m, b, d)) == _listing(
-            _ref_validate_spec(m, b, d)
+        walk = families._validate_restricted(m / 2.0, b, d, families._SPEC_NAMES)
+        assert _to_first_failure(
+            (name, slack, slack > 0.0) for name, slack in walk
+        ) == _to_first_failure(
+            (diag.name, diag.slack, diag.satisfied) for diag in _ref_validate_spec(m, b, d)
         )
+
+
+def _accepted(m, b_star, d_star):
+    try:
+        FStarSpecParams(m, b_star, d_star)
+    except ConstraintViolation:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_adjoint_verdicts_match(seed):
     for m, b, d in _validator_points(seed, forward=False):
-        verdict = _verdict(families.validate_star_spec(m, b, d))
-        assert verdict == _verdict(_ref_validate_star_spec(m, b, d))
+        reference = all(diag.satisfied for diag in _ref_validate_star_spec(m, b, d))
+        assert _accepted(m, b, d) == reference
 
 
 def test_adjoint_corner_rejected_by_the_builder():

@@ -319,3 +319,29 @@ def test_nan_is_rejected(op, call, message):
     f = PiecewisePowerFunction((PowerPiece(0.25, 1.0, 1.0, 0.0, 0.0),))
     with pytest.raises(ValueError, match=f"{message}, got nan"):
         call(op, f)
+
+
+@pytest.mark.parametrize(
+    "route", [apply_closed_form, apply_quadrature_oracle], ids=["closed_form", "oracle"]
+)
+def test_infinite_t_is_rejected(route):
+    # the adjoint range (inf, 1] is empty, and its infinite prefactor times 0
+    # read NaN
+    f = build_star_spec(FStarSpecParams(1, 0.65, 0.3))
+    with pytest.raises(ValueError, match=re.escape("t must be positive, got inf")):
+        route(lambda_star_op(1), f, math.inf)
+
+
+@pytest.mark.parametrize(
+    "route", [apply_closed_form, apply_quadrature_oracle], ids=["closed_form", "oracle"]
+)
+def test_range_without_pieces_is_minus_f(route):
+    # no piece meets (0, 1e-308), where the prefactor 2 t^(-3/2) overflows: the
+    # closed form raised OverflowError and the oracle read NaN; Tf is 0 there
+    g = build_spec(FSpecParams(1, 2.157, 6.623))
+    value = route(lambda_op(1), g, 1e-308)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    if route is apply_quadrature_oracle:
+        batch = route(lambda_op(1), g, np.array([1e-308, 3.0]))
+        assert batch.tolist() == [0.0, route(lambda_op(1), g, 3.0)]
+
