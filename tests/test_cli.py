@@ -235,6 +235,22 @@ class TestVerify:
         assert "write failed" in captured.err
 
 
+# argv and exact stdout, one JSON string per output line, of table1, curves
+# and asymptotic at --precision 17 in csv and json.  CI's package job runs the
+# installed console script on the same pins.
+_PINNED_OUTPUTS = json.loads(Path(__file__).with_name("cli_outputs.json").read_text())
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize(
+        "pin", _PINNED_OUTPUTS, ids=[" ".join(pin["argv"]) for pin in _PINNED_OUTPUTS]
+    )
+    def test_stdout_matches_pin(self, capsys, pin):
+        code, out = run_cli(capsys, pin["argv"])
+        assert code == 0
+        assert out == "".join(pin["stdout"])
+
+
 class TestUsage:
     def test_missing_command(self):
         with pytest.raises(SystemExit) as excinfo:
