@@ -14,7 +14,8 @@ and -1 by the adjoint operator, and the restricted one fixes a* = 1 and
 c* = b*.  Every constant follows from the substitution: (2+m)/m is
 (1+k)/k, 2(1+m)/m is (1+2k)/k and b**(-m/2) is b**(-k).  So each quantity
 is written once, as a private function of k; the forward name evaluates it
-at k = m/2 and each *_star name at k = -1 - m/2.
+at k = m/2 and each *_star name at k = -1 - m/2.  The restricted family's
+one power of b, x = 2 b^(-k) - 1, is the one input of D, t_0 and d_far.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def _d_far(x, k: float):
     return ((1.0 + 3.0 * k) / ((1.0 + 2.0 * k) * x)) ** (1.0 / k)
 
 
+def _spec_D(x, k: float):
+    """Coefficient of the second restricted piece, from x = _coefficient(b, k)."""
+    return (1.0 + 2.0 * k) / k * x
+
+
 def _general_B(a: float, k: float) -> float:
     return -(1.0 + 2.0 * k) / (k * a ** k)
 
@@ -107,10 +113,6 @@ def _general_D(a: float, b: float, c: float, k: float) -> float:
     return lead + lead * (b / c) ** (1.0 + k) + _general_B(a, k) * (b / c) ** (
         1.0 + 2.0 * k
     )
-
-
-def _spec_D(b: float, k: float) -> float:
-    return (1.0 + 2.0 * k) / k * _coefficient(b, k)
 
 
 def _build(k: float, plus, minus, coeff_plus: float, coeff_minus: float):
@@ -133,16 +135,31 @@ def b_max(m: int) -> float:
     return _b_far(_forward_k(m))
 
 
+def _elements(v) -> list:
+    """The entries of v, a float or an array, as Python floats."""
+    return v.ravel().tolist() if isinstance(v, np.ndarray) else [v]
+
+
 def _checked_coefficient(b, k: float, names: tuple[str, ...]):
-    """_coefficient(b, k), b a float or an array, once b > 0 and then x > 0
-    hold elementwise: past the far end of the b-range x is not > 0, and t_0
-    and d_far have no value.  The first element that fails raises under the
-    restricted walk's name and slack, b or D, which has the sign of x."""
-    values = b.ravel().tolist() if isinstance(b, np.ndarray) else [b]
-    _raise_on_slack((names[0], v) for v in values if not v > 0.0)
-    x = _coefficient(b, k)
-    values = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
-    _raise_on_slack((names[4], (1.0 + 2.0 * k) / k * v) for v in values if not v > 0.0)
+    """_coefficient(b, k), b a float or an array, once b > 0 and then
+    0 < x < inf hold elementwise.  Past the far end of the b-range x is not
+    > 0; far past the near end b^(-k) overflows and x is inf.  In both cases
+    t_0 and d_far have no value.  The first element that fails raises under
+    the restricted walk's name and slack: b; the near end, b - b_near times
+    the orientation; or D, which has the sign of x."""
+    _raise_on_slack((names[0], v) for v in _elements(b) if not v > 0.0)
+    if isinstance(b, (np.ndarray, np.generic)):
+        with np.errstate(over="ignore"):
+            x = _coefficient(b, k)
+    else:
+        try:
+            x = _coefficient(b, k)
+        except OverflowError:  # a Python float power past the largest float
+            x = math.inf
+    _raise_on_slack(
+        (names[4], _spec_D(xv, k)) if xv <= 0.0
+        else (names[2], _orientation(k) * (v - _b_near(k)))
+        for v, xv in zip(_elements(b), _elements(x)) if not 0.0 < xv < math.inf)
     return x
 
 
@@ -228,9 +245,9 @@ def _validate_restricted(k: float, b: float, d: float, names: tuple[str, ...]):
     s = _orientation(k)
     yield near, s * (b - _b_near(k))
     yield far, s * (_b_far(k) - b)
-    dd = _spec_D(b, k)
-    yield coeff, dd
     x = _coefficient(b, k)
+    dd = _spec_D(x, k)
+    yield coeff, dd
     yield pieces[0], s * (d - _t_0(x, k))
     yield pieces[1], s * (_d_far(x, k) - d)
     const = (1.0 + k) / k
@@ -341,11 +358,12 @@ def build_general_star(params: GeneralStarFamilyParams) -> PiecewisePowerFunctio
 def build_spec(params: FSpecParams) -> PiecewisePowerFunction:
     """The restricted function; its unique sign change on (b, d) is d_min(b, m)."""
     k, b = _forward_k(params.m), params.b
-    return _build(k, (1.0, b), (b, params.d), _general_B(1.0, k), _spec_D(b, k))
+    return _build(k, (1.0, b), (b, params.d), _general_B(1.0, k),
+                  _spec_D(_coefficient(b, k), k))
 
 
 def build_star_spec(params: FStarSpecParams) -> PiecewisePowerFunction:
     """The adjoint restricted function; its sign change on (d*, b*) is d_star_max."""
     k, bs = _adjoint_k(params.m), params.b_star
     return _build(k, (1.0, bs), (bs, params.d_star), _general_B(1.0, k),
-                  _spec_D(bs, k))
+                  _spec_D(_coefficient(bs, k), k))

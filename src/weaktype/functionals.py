@@ -5,12 +5,12 @@ a single interval and the L1 norm has an explicit primitive, so the ratio
 |superlevel| / L1 collapses to the closed forms ``W`` and ``W_star``.
 The general-family ratios add the mass-overshoot
 corrections b_hat and d_hat, and take the L1 norm of the second piece from
-``l1_norm``.  The large-m closed forms on the (x, y, z) coordinates live
-here too: ``asymptotic_restricted``, and the general ratio, numpy over
-arrays of z.  Its one home is the generator ``_ratio_planes``, which builds
-the terms free of y once on an (x, z) plane and yields the ratio plane for
-each y in turn; ``optimize.push_check`` sweeps its grid with it, and
-``_asymptotic_ratio`` is its first plane at a single y.
+``l1_norm``.  The large-m ratio on the (x, y, z) coordinates, numpy over
+arrays of z, has one home: the generator ``_ratio_planes``, which builds the
+terms free of y once on an (x, z) plane and yields the ratio plane for each
+y in turn.  ``optimize.push_check`` sweeps its grid with it,
+``_asymptotic_ratio`` is its first plane at a single y, and the public
+restricted ratio ``asymptotic_restricted`` is that plane on z = 2(2 - e^x).
 
 As in ``families``, the adjoint families are the forward ones at kernel
 exponent k = -1 - m/2 instead of k = m/2, with the intervals mirrored
@@ -74,16 +74,13 @@ class RatioReport:
         return cls(numerator, denominator, numerator / denominator)
 
 
-def _w_denominator(b, d, k: float, x=None, t_0=None):
-    """L1 norm of the restricted function at kernel exponent k.
+def _w_denominator(b, d, k: float, x, t_0):
+    """L1 norm of the restricted function at kernel exponent k, from
+    x = ``families._coefficient(b, k)`` and the sign change t_0 at b.
 
     The bracket is the forward norm written in k; the adjoint norm is its
-    negative, since the adjoint intervals are mirrored through 1.  A caller
-    that holds x = ``families._coefficient(b, k)`` and t_0 at b passes them.
+    negative, since the adjoint intervals are mirrored through 1.
     """
-    if x is None:
-        x = families._coefficient(b, k)
-        t_0 = families._t_0(x, k)
     return families._orientation(k) * (
         k / (1.0 + k)
         - (1.0 + k) / k * d
@@ -102,6 +99,11 @@ def _W(b: float, d: float, k: float, denominator: float) -> float:
     return families._orientation(k) * (d - 1.0) / denominator
 
 
+def _W_at(b: float, d: float, k: float, x: float, t_0: float) -> float:
+    """``_W`` from the coefficient x and the sign change t_0 at b."""
+    return _W(b, d, k, _w_denominator(b, d, k, x, t_0))
+
+
 def W(b: float, d: float, m: int) -> float:
     """Closed-form ratio (d - 1) / L1 for the restricted family.
 
@@ -109,13 +111,15 @@ def W(b: float, d: float, m: int) -> float:
     nonpositive denominator.
     """
     k = _forward_k(m)
-    return _W(b, d, k, _w_denominator(b, d, k))
+    x = families._coefficient(b, k)
+    return _W_at(b, d, k, x, families._t_0(x, k))
 
 
 def W_star(b_star: float, d_star: float, m: int) -> float:
     """Closed-form ratio (1 - d*) / L1 for the adjoint restricted family."""
     k = _adjoint_k(m)
-    return _W(b_star, d_star, k, _w_denominator(b_star, d_star, k))
+    x = families._coefficient(b_star, k)
+    return _W_at(b_star, d_star, k, x, families._t_0(x, k))
 
 
 def gill_bound(m: float) -> float:
@@ -153,7 +157,7 @@ def _general_ratio(b: float, c: float, d: float, k: float) -> RatioReport:
     const = (1.0 + k) / k
     dd = families._general_D(1.0, b, c, k)
 
-    overshoot_b = -1.0 - const + (1.0 + 2.0 * k) / k * b ** k
+    overshoot_b = -1.0 - const - families._general_B(1.0, k) * b ** k
     b_hat = nearer(further(b, b * overshoot_b ** (1.0 / (1.0 + k))), c)
     overshoot_d = abs(-1.0 - const + dd * d ** k)
     d_hat = further(d, d * overshoot_d ** (1.0 / (1.0 + k)))
@@ -193,7 +197,7 @@ def oracle_ratio(op: OperatorKind, f: PiecewisePowerFunction) -> RatioReport:
 # --- asymptotic (large-m) program ----------------------------------------------
 
 def asymptotic_restricted(x: float, y: float) -> float:
-    """Large-m ratio on the restricted branch.
+    """Large-m ratio on the restricted branch, the face z = 2(2 - e^x).
 
     Requires x in [ln(3/2), ln 2) and e^-y <= 2(2 - e^x) <= 3 e^-y.
     """
@@ -204,15 +208,7 @@ def asymptotic_restricted(x: float, y: float) -> float:
         raise ConstraintViolation(
             f"need e^-y <= 2(2 - e^x) <= 3 e^-y, got z={z} at y={y}"
         )
-    denominator = (
-        2.0 * math.exp(x)
-        - x
-        - 4.0
-        - y
-        + z * (math.exp(y) + 1.0)
-        - 2.0 * math.log(z)
-    )
-    return (x + y) / denominator
+    return float(_asymptotic_ratio(x, y, z))
 
 
 def _per_x(fn, x) -> np.ndarray:

@@ -12,9 +12,9 @@ shrink 0.5, clipped to the feasible closure, xatol = fatol = 1e-10, at most
 One-dimensional scans feed golden-section refinement, and every root is found
 by bisection on an analytically sign-certified bracket.
 
-Every objective point raises b to the power -k once: ``families._coefficient``
-gives x = 2 b^(-k) - 1, and t_0, d_max and the L1 denominator are built from
-that x.
+Every objective point, and each side of ``duality_map``, raises b to the
+power -k once: ``families._coefficient`` gives x = 2 b^(-k) - 1, and t_0,
+d_max, the optimal curve and the L1 denominator are built from that x.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy.optimize import bisect
 
 from . import families, functionals
 from .families import FSpecParams
-from .functionals import LOG_2, LOG_32, W, W_star
+from .functionals import LOG_2, LOG_32, W
 from .operators import _adjoint_k, _check_m, _forward_k
 
 __all__ = [
@@ -199,11 +199,9 @@ def _search_k(m: int) -> float:
 
 
 def _feasibility_map(k: float):
-    """The map (u, v) -> (b, d, x, t_0), scalars or broadcast arrays, from the
-    unit square onto the feasible region at kernel exponent k.
-
-    x = 2 b^(-k) - 1 and t_0 = d_min(b) come with (b, d), so that the
-    denominator takes them rather than raise b to a power again."""
+    """The map (u, v) -> (b, d, W's L1 denominator at (b, d)), scalars or
+    broadcast arrays, from the unit square onto the feasible region at kernel
+    exponent k.  d_min(b), d_max(b) and the denominator share one power of b."""
     lo_b = families._b_near(k)
     width = families._b_far(k) - lo_b
 
@@ -211,22 +209,21 @@ def _feasibility_map(k: float):
         b = lo_b + u * width * (1.0 - 1e-9)
         x = families._coefficient(b, k)
         d_lo = families._t_0(x, k)
-        return b, d_lo + v * (families._d_far(x, k) - d_lo), x, d_lo
+        d = d_lo + v * (families._d_far(x, k) - d_lo)
+        return b, d, functionals._w_denominator(b, d, k, x, d_lo)
 
     return to_bd
 
 
-def _grid_values(m: int, ticks: np.ndarray) -> np.ndarray:
-    """W over the feasibility-mapped grid ticks x ticks, one array evaluation.
+def _grid_values(to_bd, ticks: np.ndarray) -> np.ndarray:
+    """W over the grid ticks x ticks mapped by ``to_bd``, one array evaluation.
 
     Row i holds b at ticks[i] of the b-range, column j holds d at ticks[j] of
     [d_min(b), d_max(b)].  A cell whose denominator is nonpositive or not
     finite reads -inf.
     """
-    k = _forward_k(m)
-    b, d, x, t_0 = _feasibility_map(k)(ticks[:, None], ticks)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denominator = functionals._w_denominator(b, d, k, x, t_0)
+        _, d, denominator = to_bd(ticks[:, None], ticks)
         feasible = np.isfinite(denominator) & (denominator > 0.0)
         return np.where(feasible, (d - 1.0) / denominator, -math.inf)
 
@@ -236,15 +233,12 @@ def _unit(t: float) -> float:
     return 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
 
 
-def _w_objective(k: float):
-    """maximize_W's Nelder-Mead objective at kernel exponent k: -W at the
-    feasibility-mapped (u, v), each clipped to [0, 1], and +inf where W
-    raises DenominatorError."""
-    to_bd = _feasibility_map(k)
+def _w_objective(to_bd):
+    """maximize_W's Nelder-Mead objective: -W at ``to_bd`` of (u, v), each
+    clipped to [0, 1], and +inf where W raises DenominatorError."""
 
     def objective(u: float, v: float) -> float:
-        b, d, x, t_0 = to_bd(_unit(u), _unit(v))
-        denominator = functionals._w_denominator(b, d, k, x, t_0)
+        _, d, denominator = to_bd(_unit(u), _unit(v))
         return -((d - 1.0) / denominator) if denominator > 0.0 else math.inf
 
     return objective
@@ -258,23 +252,25 @@ def maximize_W(m: int) -> OptimumRecord:
     then smaller d, and the winning cell is the first simplex vertex.  The
     refinement, on Python floats, clips (u, v) to the unit square, so the
     search never leaves the closure of the feasible region, and never ends
-    worse than that first vertex; each point costs one power of b.
-    ``evaluations`` counts every grid cell and every Nelder-Mead evaluation.
+    worse than that first vertex; each point costs one power of b, and the
+    value is the best vertex's own.  ``evaluations`` counts every grid cell
+    and every Nelder-Mead evaluation.
     Deterministic for fixed inputs; raises ConvergenceError when Nelder-Mead
     does not converge, and ValueError for m above 10**6.
     """
     k = _search_k(m)
+    to_bd = _feasibility_map(k)
     ticks = np.linspace(0.0, 1.0, 64)
     row, col = np.unravel_index(
-        int(np.argmax(_grid_values(m, ticks))), (ticks.size, ticks.size)
+        int(np.argmax(_grid_values(to_bd, ticks))), (ticks.size, ticks.size)
     )
-    (u_best, v_best), _, nfev, failure = _nelder_mead(
-        _w_objective(k), float(ticks[row]), float(ticks[col]))
+    (u_best, v_best), f_best, nfev, failure = _nelder_mead(
+        _w_objective(to_bd), float(ticks[row]), float(ticks[col]))
     if failure is not None:
         raise ConvergenceError(f"Nelder-Mead did not converge for m={m}: {failure}")
     evaluations = ticks.size ** 2 + nfev
-    b, d, _, _ = _feasibility_map(k)(_unit(u_best), _unit(v_best))
-    return OptimumRecord(m, b, d, W(b, d, m), evaluations)
+    b, d, _ = to_bd(_unit(u_best), _unit(v_best))
+    return OptimumRecord(m, b, d, -f_best, evaluations)
 
 
 def _curve_point(b, k: float):
@@ -287,8 +283,8 @@ def _curve_point(b, k: float):
     return (rhs / ((1.0 + 2.0 * k) * x)) ** (1.0 / (1.0 + k)), x, t_0
 
 
-def _d_opt(b, k: float):
-    """The optimal-curve coordinate at b, a float or an array, for kernel exponent k.
+def _checked_curve_point(b, k: float):
+    """``_curve_point(b, k)`` once b, a float or an array, lies in the b-range.
 
     The range check is closed, with a 1e-12 relative allowance, at the end
     of the b-range nearer to 1 and open at the far end.
@@ -299,7 +295,7 @@ def _d_opt(b, k: float):
     if inside is not True and not np.all(inside):  # a scalar skips np.all
         raise ValueError(f"b must lie between {near} (closed) and {far} (open), "
                          f"got {np.extract(np.logical_not(inside), b)[0]}")
-    return _curve_point(b, k)[0]
+    return _curve_point(b, k)
 
 
 def d_opt(b: float, m: int) -> float:
@@ -308,7 +304,7 @@ def d_opt(b: float, m: int) -> float:
     Explicit solution of the stationarity equation of the restricted ratio in
     b at fixed d; always lies in [d_min(b), d_max(b)].
     """
-    return _d_opt(b, _forward_k(m))
+    return _checked_curve_point(b, _forward_k(m))[0]
 
 
 def _curve_scan_end(m: int) -> float:
@@ -323,7 +319,7 @@ def d_star_opt(b_star: float, m: int) -> float:
     For m = 1 and b* below the adjoint split point the value drops below
     d*_min(b*); the defining equation is unchanged.
     """
-    return _d_opt(b_star, _adjoint_k(m))
+    return _checked_curve_point(b_star, _adjoint_k(m))[0]
 
 
 def duality_map(b: float, m: int) -> DualityRecord:
@@ -333,12 +329,14 @@ def duality_map(b: float, m: int) -> DualityRecord:
     t_0*(b*) = b/d_opt(b), d*_opt(b*) = 1/d_opt(b), and the adjoint ratio on
     its optimal curve at b* equals the forward ratio on its optimal curve at b.
     """
-    d_at = _d_opt(b, _forward_k(m))
-    b_star = families.d_min(b, m) / d_at
-    t0_star_residual = abs(families.d_star_max(b_star, m) - b / d_at)
-    d_star_at = _d_opt(b_star, _adjoint_k(m))
+    k, k_star = _forward_k(m), _adjoint_k(m)
+    d_at, x, t_0 = _checked_curve_point(b, k)
+    b_star = t_0 / d_at
+    d_star_at, x_star, t0_star = _checked_curve_point(b_star, k_star)
+    t0_star_residual = abs(t0_star - b / d_at)
     d_star_opt_residual = abs(d_star_at - 1.0 / d_at)
-    w_residual = abs(W_star(b_star, d_star_at, m) - W(b, d_at, m))
+    w_residual = abs(functionals._W_at(b_star, d_star_at, k_star, x_star, t0_star)
+                     - functionals._W_at(b, d_at, k, x, t_0))
     return DualityRecord(
         b, m, b_star, t0_star_residual, d_star_opt_residual, w_residual
     )
@@ -348,7 +346,7 @@ def _w_on_curve(b: float, k: float) -> float:
     """maximize_on_curve's refinement objective, W(b, d_opt(b)) at kernel
     exponent k from one power of b; b is not range-checked."""
     d, x, t_0 = _curve_point(b, k)
-    return functionals._W(b, d, k, functionals._w_denominator(b, d, k, x, t_0))
+    return functionals._W_at(b, d, k, x, t_0)
 
 
 def maximize_on_curve(m: int) -> OptimumRecord:
@@ -371,7 +369,7 @@ def maximize_on_curve(m: int) -> OptimumRecord:
         return _w_on_curve(b, k)
 
     b_best, best = _scan_then_refine(value, grid, (d - 1.0) / denominator)
-    return OptimumRecord(m, b_best, _d_opt(b_best, k), best, evaluations)
+    return OptimumRecord(m, b_best, _curve_point(b_best, k)[0], best, evaluations)
 
 
 def x_infinity(tol: float) -> float:

@@ -85,7 +85,7 @@ class TestBuildGeneralStar:
         # a* = 1, c* = b*: the inner coefficient is the restricted one
         k, bs = -1.0 - 3 / 2.0, 0.7
         assert families._general_D(1.0, bs, bs, k) == pytest.approx(
-            families._spec_D(bs, k), rel=1e-13
+            families._spec_D(families._coefficient(bs, k), k), rel=1e-13
         )
 
     def test_bad_ordering_rejected(self):
@@ -185,7 +185,9 @@ class TestBuildSpec:
     def test_second_piece_vanishes_at_b_min(self):
         m = 2
         b = b_min(m) * (1.0 + 1e-11)
-        value = -(2.0 + m) / m + families._spec_D(b, m / 2.0) * b ** (m / 2.0)
+        k = m / 2.0
+        dd = families._spec_D(families._coefficient(b, k), k)
+        value = -(2.0 + m) / m + dd * b ** k
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_rejected(self):
@@ -207,7 +209,8 @@ class TestBuildStarSpec:
         m = 2
         bs = b_star_max(m) * (1.0 - 1e-11)
         k = -1.0 - m / 2.0
-        value = -m / (2.0 + m) + families._spec_D(bs, k) * bs ** k
+        dd = families._spec_D(families._coefficient(bs, k), k)
+        value = -m / (2.0 + m) + dd * bs ** k
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_midpoint_parameters_feasible(self):
@@ -285,6 +288,26 @@ class TestBoundaries:
     def test_past_the_far_end_rejected(self, fn, b, m, message):
         # x = 2 b^(-k) - 1 is not > 0 there: these returned negative, complex
         # or ZeroDivisionError; an array reports its first bad element
+        with pytest.raises(ConstraintViolation,
+                           match=f"^constraint violated: {re.escape(message)}$"):
+            fn(b, m)
+
+    @pytest.mark.parametrize(
+        "fn, b, m, message",
+        [
+            (d_star_min, math.inf, 2, "b* < b*_max (slack -inf)"),
+            (d_star_max, math.inf, 2, "b* < b*_max (slack -inf)"),
+            (d_min, 1e-20, 40, "b > b_min (slack -1.02006)"),
+            (d_max, 1e-20, 40, "b > b_min (slack -1.02006)"),
+            (d_max, np.float64(1e-20), 40, "b > b_min (slack -1.02006)"),
+            (d_star_min, np.float64(math.inf), 2, "b* < b*_max (slack -inf)"),
+            (d_min, np.array([1.03, 1e-20, 1.025]), 40, "b > b_min (slack -1.02006)"),
+            (d_star_max, np.array([0.75, math.inf]), 2, "b* < b*_max (slack -inf)"),
+        ],
+    )
+    def test_far_past_the_near_end_rejected(self, fn, b, m, message):
+        # b^(-k) overflows there, so x is inf: these raised ZeroDivisionError
+        # or OverflowError, returned inf, or warned on arrays
         with pytest.raises(ConstraintViolation,
                            match=f"^constraint violated: {re.escape(message)}$"):
             fn(b, m)

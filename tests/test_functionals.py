@@ -237,15 +237,30 @@ class TestAsymptoticRestricted:
 
 class TestAsymptoticGeneral:
     def test_matches_restricted_on_constrained_slice(self):
-        for x in (0.45, 0.548, 0.6):
+        # asymptotic_restricted is the array ratio on the face z = 2(2 - e^x);
+        # the scalar case formulas below are the independent route
+        rng = np.random.default_rng(0)
+        for x, u in rng.uniform(size=(1000, 2)).tolist():
+            x = LOG_32 + x * (LOG_2 - LOG_32)
             z = 2.0 * (2.0 - math.exp(x))
-            for y_scale in (1.01, 2.0, 2.9):
-                y = -math.log(z) + math.log(y_scale)
-                if y <= 0:
-                    continue
-                assert _asymptotic_ratio(x, y, z) == pytest.approx(
-                    asymptotic_restricted(x, y), rel=1e-12
-                )
+            y = -math.log(z) + u * math.log(3.0)  # e^-y <= z <= 3 e^-y
+            assert asymptotic_restricted(x, y) == pytest.approx(
+                _reference_ratio(x, y, z), rel=1e-13, abs=0.0
+            ), (x, y)
+
+    def test_restricted_sample_matches_mpmath(self):
+        # the restricted closed form (x + y) / (2e^x - x - 4 - y + z(e^y + 1)
+        # - 2 ln z) at the published sample, in 50 digits
+        x, y = 0.548, 1.164
+        with mpmath.workdps(50):
+            mx, my = mpmath.mpf(x), mpmath.mpf(y)
+            z = 2 * (2 - mpmath.exp(mx))
+            exact = float((mx + my) / (
+                2 * mpmath.exp(mx) - mx - 4 - my + z * (mpmath.exp(my) + 1)
+                - 2 * mpmath.log(z)
+            ))
+        value = asymptotic_restricted(x, y)
+        assert abs(value - exact) <= 2.0 * sys.float_info.epsilon * exact
 
     def test_small_z_branch(self):
         x, y = 0.65, 0.4

@@ -277,6 +277,12 @@ def _close(value, reference, rel=1e-13, scale=None):
     return abs(value - reference) <= rel * (abs(reference) if scale is None else scale)
 
 
+def _w_denominator(b, d, k):
+    """functionals._w_denominator with x and t_0 at b from the families."""
+    x = families._coefficient(b, k)
+    return functionals._w_denominator(b, d, k, x, families._t_0(x, k))
+
+
 # --- forward: bit for bit ----------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(2))
@@ -286,8 +292,9 @@ def test_forward_restricted_bitwise(seed):
         assert families.b_max(m) == _ref_b_max(m)
         assert families.d_min(b, m) == _ref_t_0(b, m)
         assert families.d_max(b, m) == _ref_d_max(b, m)
-        assert families._spec_D(b, m / 2.0) == _ref_spec_D(b, m)
-        assert functionals._w_denominator(b, d, m / 2.0) == _ref_w_denominator(b, d, m)
+        x = families._coefficient(b, m / 2.0)
+        assert families._spec_D(x, m / 2.0) == _ref_spec_D(b, m)
+        assert _w_denominator(b, d, m / 2.0) == _ref_w_denominator(b, d, m)
         assert functionals.W(b, d, m) == _ref_W(b, d, m)
         assert optimize.d_opt(b, m) == _ref_d_opt(b, m)
         assert _pieces(families.build_spec(FSpecParams(m, b, d))) == _pieces(
@@ -302,7 +309,7 @@ def test_forward_w_denominator_arrays_bitwise():
         d = np.array([p[2] for p in points if p[0] == m])
         grid_b, grid_d = b[:, None], d[None, :]
         with np.errstate(invalid="ignore"):
-            got = functionals._w_denominator(grid_b, grid_d, m / 2.0)
+            got = _w_denominator(grid_b, grid_d, m / 2.0)
             want = _ref_w_denominator(grid_b, grid_d, m)
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -325,13 +332,14 @@ def test_forward_general_bitwise(seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_adjoint_restricted_matches_reference(seed):
     for m, _, _, bs, ds in _restricted_points(seed):
+        k = -1.0 - m / 2.0
         pairs = [
             (families.b_star_min(m), _ref_b_star_min(m)),
             (families.b_star_max(m), _ref_b_star_max(m)),
             (families.d_star_max(bs, m), _ref_t_0_star(bs, m)),
             (families.d_star_min(bs, m), _ref_d_star_min(bs, m)),
-            (families._spec_D(bs, -1.0 - m / 2.0), _ref_star_spec_D(bs, m)),
-            (functionals._w_denominator(bs, ds, -1.0 - m / 2.0),
+            (families._spec_D(families._coefficient(bs, k), k), _ref_star_spec_D(bs, m)),
+            (_w_denominator(bs, ds, k),
              _ref_w_star_denominator(bs, ds, m)),
             (functionals.W_star(bs, ds, m), _ref_W_star(bs, ds, m)),
             (optimize.d_star_opt(bs, m), _ref_d_star_opt(bs, m)),

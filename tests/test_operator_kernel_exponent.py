@@ -158,7 +158,7 @@ def _ref_validate_spec(m, b, d, closure=False):
     ]
     if b <= 0.0 or d <= 0.0:
         return out
-    dd = families._spec_D(b, m / 2.0)
+    dd = families._spec_D(families._coefficient(b, m / 2.0), m / 2.0)
     lo, hi = families.b_min(m), families.b_max(m)
     out.append(_Diagnostic("b > b_min" if not closure else "b >= b_min",
                            b - lo, b >= lo if closure else b > lo))
@@ -189,7 +189,8 @@ def _ref_validate_star_spec(m, b_star, d_star, closure=False):
     ]
     if d_star <= 0.0 or not d_star < b_star < 1.0:
         return out
-    dd = families._spec_D(b_star, -1.0 - m / 2.0)
+    k = -1.0 - m / 2.0
+    dd = families._spec_D(families._coefficient(b_star, k), k)
     b_star_min = families.b_star_min(m)
     out.append(
         _Diagnostic("b* > b*_min", b_star - b_star_min, b_star > b_star_min)
@@ -408,7 +409,7 @@ def _validator_points(seed, forward):
             d_lo, d_hi = families.d_star_min, families.d_star_max
         for b in _ends_and_fractions(b_lo, b_hi, rng) + [-0.5, 0.0]:
             d_ends = None
-            if b > 0.0 and families._spec_D(b, k) > 0.0:
+            if b > 0.0 and families._spec_D(families._coefficient(b, k), k) > 0.0:
                 d_ends = d_lo(b, m), d_hi(b, m)
             ds = (_ends_and_fractions(*d_ends, rng) if d_ends
                   else [float(x) for x in rng.uniform(0.1, 5.0, 3)])

@@ -83,6 +83,16 @@ def _loop_grid(m, grid_resolution):
 _cached_loop_grid = functools.lru_cache(maxsize=None)(_loop_grid)
 
 
+def _grid(m, ticks):
+    """maximize_W's grid values at m over ticks x ticks."""
+    return _grid_values(optimize._feasibility_map(optimize._forward_k(m)), ticks)
+
+
+def _objective(m):
+    """maximize_W's Nelder-Mead objective at m."""
+    return optimize._w_objective(optimize._feasibility_map(optimize._forward_k(m)))
+
+
 def _reference_maximize_W(m, grid_resolution, loop_grid=_cached_loop_grid):
     """maximize_W with its grid scanned by the scalar loop."""
     ticks = np.linspace(0.0, 1.0, grid_resolution)
@@ -133,7 +143,7 @@ class TestMaximizeW:
 class TestMaximizeWGrid:
     @pytest.mark.parametrize("m,resolution", _GRID_CASES)
     def test_picks_the_loop_cell(self, m, resolution):
-        grid = _grid_values(m, np.linspace(0.0, 1.0, resolution))
+        grid = _grid(m, np.linspace(0.0, 1.0, resolution))
         _, cell = _cached_loop_grid(m, resolution)
         assert np.unravel_index(int(np.argmax(grid)), grid.shape) == cell
 
@@ -141,7 +151,7 @@ class TestMaximizeWGrid:
     def test_values_match_scalar_W(self, m, resolution):
         # array pow may differ from libm pow in the last bit, and W raises b
         # and d to powers near m/2, which scales a last-bit difference by m
-        grid = _grid_values(m, np.linspace(0.0, 1.0, resolution))
+        grid = _grid(m, np.linspace(0.0, 1.0, resolution))
         values, _ = _cached_loop_grid(m, resolution)
         rtol = 8.0 * (m + 2.0) * np.finfo(float).eps
         np.testing.assert_allclose(grid, values, rtol=rtol, atol=0.0)
@@ -166,7 +176,7 @@ class TestMaximizeWGrid:
 
         monkeypatch.setattr(functionals, "_w_denominator", patched)
         b, d = np.broadcast_arrays(*_cell(m, ticks[:, None], ticks))
-        grid = _grid_values(m, ticks)
+        grid = _grid(m, ticks)
         cut = d >= d_win * (1.0 - 1e-9)
         assert cut.any() and (b[cut] < b_win).any() and (b[cut] > b_win).any()
         assert (grid[cut] == -math.inf).all()
@@ -271,7 +281,7 @@ class TestObjectives:
 
     @pytest.mark.parametrize("m", _OBJECTIVE_MS)
     def test_nelder_mead_objective_is_minus_W(self, m):
-        objective = optimize._w_objective(optimize._forward_k(m))
+        objective = _objective(m)
         us = self._points(m, -0.1, 1.1, [-0.1, 0.0, 1.0, 1.1])
         vs = self._points(m + 1, -0.1, 1.1, [-0.1, 0.0, 1.0, 1.1])
         for u, v in [*zip(us, vs), *((u, v) for u in us[:4] for v in vs[:4])]:
@@ -290,7 +300,7 @@ class TestObjectives:
                 d_max(b, m) - d_min(b, m)) else denominator
 
         monkeypatch.setattr(functionals, "_w_denominator", patched)
-        objective = optimize._w_objective(optimize._forward_k(m))
+        objective = _objective(m)
         raised = 0
         for u, v in zip(self._points(m, -0.1, 1.1, [0.0, 1.0]),
                         self._points(m + 1, -0.1, 1.1, [1.0, 0.0])):
@@ -369,12 +379,11 @@ class TestDOpt:
             d_opt(b_max(2), 2)
 
     def test_array_domain_names_the_first_b_outside(self):
-        k = optimize._forward_k(2)
         inside = [b_min(2), 0.5 * (b_min(2) + b_max(2))]
         with pytest.raises(ValueError, match=re.escape(f"got {b_max(2)}")):
-            optimize._d_opt(np.array([*inside, b_max(2), b_min(2) * 0.9]), k)
+            d_opt(np.array([*inside, b_max(2), b_min(2) * 0.9]), 2)
         with pytest.raises(ValueError, match=re.escape(f"got {math.nan}")):
-            optimize._d_opt(np.array([math.nan, *inside]), k)
+            d_opt(np.array([math.nan, *inside]), 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 10, 40, 160])
     def test_array_matches_scalar(self, m):
@@ -383,10 +392,10 @@ class TestDOpt:
         # x = 2 b^(-k) - 1, as for the families' boundary functions
         k = optimize._forward_k(m)
         grid = np.linspace(b_min(m), _curve_scan_end(m), 400)
-        scalar = np.array([optimize._d_opt(b, k) for b in grid.tolist()])
+        scalar = np.array([d_opt(b, m) for b in grid.tolist()])
         x = np.array([2.0 * b ** (-k) - 1.0 for b in grid.tolist()])
         rtol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((x + 1.0) / (k * x)))
-        assert np.all(np.abs(optimize._d_opt(grid, k) - scalar) <= rtol * scalar)
+        assert np.all(np.abs(d_opt(grid, m) - scalar) <= rtol * scalar)
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     def test_monotone_and_sandwiched(self, m):
@@ -508,7 +517,7 @@ class TestMaximizeOnCurve:
         with pytest.raises(DenominatorError, match=first):
             maximize_on_curve(m)
         with pytest.raises(DenominatorError, match=first):
-            W(float(grid[index]), optimize._d_opt(grid[index], k), m)
+            W(float(grid[index]), d_opt(grid[index], m), m)
 
 
 class TestXInfinity:
@@ -820,7 +829,7 @@ def test_bad_m_rejected(call, m):
                          ids=["maximize_W", "maximize_on_curve"])
 def test_m_above_the_cap_rejected(search):
     # maximize_W(10**8) used to read 3.6e-8 above curve_supremum() and
-    # maximize_on_curve(10**9) to fail inside _d_opt
+    # maximize_on_curve(10**9) to fail in its range check
     with pytest.raises(ValueError, match="^m must be at most 1000000, got 1000001$"):
         search(10**6 + 1)
     assert search(10**6).value == pytest.approx(curve_supremum(), abs=1e-8)

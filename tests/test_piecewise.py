@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from weaktype import functionals
+from weaktype import families, functionals
 from weaktype.families import FSpecParams, build_spec, d_min
 from weaktype.piecewise import (
     PiecewisePowerFunction,
@@ -122,8 +122,10 @@ class TestL1Norm:
     def test_restricted_family_matches_ratio_denominator(self):
         params = FSpecParams(1, 2.157, 6.623)
         f = build_spec(params)
+        x = families._coefficient(2.157, 0.5)
         assert l1_norm(f) == pytest.approx(
-            functionals._w_denominator(2.157, 6.623, 0.5), abs=1e-9
+            functionals._w_denominator(2.157, 6.623, 0.5, x, families._t_0(x, 0.5)),
+            abs=1e-9,
         )
 
 
