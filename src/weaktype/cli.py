@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import families, functionals, optimize, verify
+from . import families, functionals, operators, optimize, verify
 
 __all__ = ["main"]
 
@@ -59,15 +59,11 @@ def cmd_table1(args) -> int:
     rows = []
     for m in args.m:
         record = optimize.maximize_W(m)
+        k = operators._forward_k(m)
+        # maximize_W's b lies in the feasible region, so t_0 needs no check
+        t_0 = families._t_0(families._coefficient(record.b, k), k)
         rows.append(
-            [
-                m,
-                record.b,
-                record.d,
-                families.d_min(record.b, m),
-                record.value,
-                functionals.gill_bound(m),
-            ]
+            [m, record.b, record.d, t_0, record.value, functionals.gill_bound(m)]
         )
     _emit_rows(["m", "b", "d", "t_0", "W", "gill_bound"], rows, args)
     return 0
@@ -75,15 +71,15 @@ def cmd_table1(args) -> int:
 
 def cmd_curves(args) -> int:
     m = args.m
+    k = operators._forward_k(m)
     rows = []
     for b in np.linspace(families.b_min(m), optimize._curve_scan_end(m), args.samples):
         b = float(b)
-        d_at = optimize.d_opt(b, m)
-        # d_min is the sign change t_0 of the second piece: one value, two columns
-        d_lo = families.d_min(b, m)
-        rows.append(
-            [b, d_lo, d_at, families.d_max(b, m), d_lo, functionals.W(b, d_at, m)]
-        )
+        # one coefficient x = 2 b^(-k) - 1 per row; d_min is the sign change
+        # t_0 of the second piece: one value, two columns
+        d_at, x, t_0 = optimize._checked_curve_point(b, k)
+        rows.append([b, t_0, d_at, families._d_far(x, k), t_0,
+                     functionals._W_at(b, d_at, k, x, t_0)])
     _emit_rows(["b", "d_min", "d_opt", "d_max", "t_0", "W_on_curve"], rows, args)
     return 0
 

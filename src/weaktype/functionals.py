@@ -6,11 +6,13 @@ a single interval and the L1 norm has an explicit primitive, so the ratio
 The general-family ratios add the mass-overshoot
 corrections b_hat and d_hat, and take the L1 norm of the second piece from
 ``l1_norm``.  The large-m ratio on the (x, y, z) coordinates, numpy over
-arrays of z, has one home: the generator ``_ratio_planes``, which builds the
-terms free of y once on an (x, z) plane and yields the ratio plane for each
-y in turn.  ``optimize.push_check`` sweeps its grid with it,
-``_asymptotic_ratio`` is its first plane at a single y, and the public
-restricted ratio ``asymptotic_restricted`` is that plane on z = 2(2 - e^x).
+arrays of z, has one home: the generator ``_ratio_planes``, which sorts the
+(x, z) cells by z once, builds the terms free of y on them, and yields the
+ratio for each y in turn as a flat plane in that order, with the
+permutation.  Sorted, each branch of the ratio is a contiguous run of cells.
+``optimize.push_check`` sweeps its grid with it, ``_asymptotic_ratio`` puts
+its first plane at a single y back in the order of z, and the public
+restricted ratio ``asymptotic_restricted`` is that ratio on z = 2(2 - e^x).
 
 As in ``families``, the adjoint families are the forward ones at kernel
 exponent k = -1 - m/2 instead of k = m/2, with the intervals mirrored
@@ -34,7 +36,13 @@ from .families import (
     GeneralFamilyParams,
     GeneralStarFamilyParams,
 )
-from .operators import OperatorKind, _adjoint_k, _forward_k, superlevel_measure
+from .operators import (
+    OperatorKind,
+    SuperlevelResult,
+    _adjoint_k,
+    _forward_k,
+    superlevel_measure,
+)
 from .piecewise import PiecewisePowerFunction, PowerPiece, l1_norm
 
 __all__ = [
@@ -61,17 +69,25 @@ class DenominatorError(ValueError):
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Superlevel measure, L1 norm and their ratio."""
+    """Superlevel measure, L1 norm and their ratio.
+
+    ``superlevel`` is the superlevel set whose measure is the numerator, where
+    one was computed (``oracle_ratio``); the closed forms leave it None.
+    """
 
     numerator: float
     denominator: float
     ratio: float
+    superlevel: SuperlevelResult | None
 
     @classmethod
-    def from_parts(cls, numerator: float, denominator: float) -> "RatioReport":
+    def from_parts(
+        cls, numerator: float, denominator: float,
+        superlevel: SuperlevelResult | None = None,
+    ) -> "RatioReport":
         if not denominator > 0.0:
             raise DenominatorError(f"denominator must be positive, got {denominator}")
-        return cls(numerator, denominator, numerator / denominator)
+        return cls(numerator, denominator, numerator / denominator, superlevel)
 
 
 def _w_denominator(b, d, k: float, x, t_0):
@@ -190,8 +206,9 @@ def general_ratio_star(params: GeneralStarFamilyParams) -> RatioReport:
 
 def oracle_ratio(op: OperatorKind, f: PiecewisePowerFunction) -> RatioReport:
     """Independent ratio: structural superlevel measure at level 1 over the
-    exact L1 norm."""
-    return RatioReport.from_parts(superlevel_measure(op, f).measure, l1_norm(f))
+    exact L1 norm.  The report carries the superlevel set."""
+    superlevel = superlevel_measure(op, f)
+    return RatioReport.from_parts(superlevel.measure, l1_norm(f), superlevel)
 
 
 # --- asymptotic (large-m) program ----------------------------------------------
@@ -220,46 +237,75 @@ def _per_x(fn, x) -> np.ndarray:
 
 
 def _ratio_planes(x, z, ys):
-    """Large-m ratio of the general family on the (x, z) plane, one plane per y.
+    """Large-m ratio of the general family on the (x, z) cells, one plane per y.
 
-    ``x`` is a scalar or a column broadcasting against ``z``.  The y-free
-    terms are built once; each plane is then written in place over the same
-    buffer, so read it before drawing the next.  The buffers follow the
-    memory order of the y-free terms, and so of ``z``.  The ratio is
-    (x_hat + y_hat) / (2e^x - x - 2 + int_0^y |-1 + z e^s| ds), every term
-    elementwise.  The integral splits at s = -ln z: the split branch is
-    written everywhere, then the z <= e^-y and z >= 1 branches over it.
+    ``x`` is a scalar or a column broadcasting against ``z``, with fewer
+    than 2**31 cells; every e^y is finite.  The broadcast cells are flattened
+    once and sorted by z (stable), and each plane is yielded flat in that
+    order with the int32 permutation ``order``: plane[j] is the cell at flat
+    (x, z) index order[j].  The y-free terms are built once; each plane is
+    then written in place over the same buffer, so read it before drawing
+    the next.
+
+    The ratio is (x_hat + y_hat) / (2e^x - x - 2 + int_0^y |-1 + z e^s| ds),
+    every term elementwise.  With z ascending, each of the integral's three
+    branches (z <= e^-y, the split at s = -ln z, z >= 1, which wins where
+    both ends hold) is a contiguous run.  So is the band 1 <= t <= 3, where
+    t = z e^y and y_hat's log(max(|t - 2|, 1)) is exactly 0: t ascends with
+    z, and t - 2 is exact on [1, 4].  Below the band the log is of 2 - t,
+    above it of t - 2, since fl(2 - t) = -fl(t - 2).
     """
-    z = np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(z))
+    z = np.broadcast_to(np.asarray(z, dtype=float), shape).ravel()
+    order = np.argsort(z, kind="stable").astype(np.int32)
+    z = z[order]
+    rows = order // (order.size // np.size(x))  # the entry of x of each cell
     ex = _per_x(math.exp, x)
-    base = _per_x(math.log, 2.0 * ex - 2.0)
-    # one expression, so that the generator's frame keeps no extra plane alive
+    base = np.ravel(_per_x(math.log, 2.0 * ex - 2.0))[rows]
+    x_hat = np.subtract(2.0, z)
     with np.errstate(divide="ignore"):
-        x_hat = x + np.minimum(np.maximum(0.0, base), base - np.log(2.0 - z))
-    constant = 2.0 * ex - x - 2.0  # the denominator less the integral
-    neg_two_log_z = -2.0 * np.log(np.maximum(z, 1e-300))  # finite where z <= 0
-    z_at_least_1 = z >= 1.0
-    y_hat, integral = np.empty_like(x_hat), np.empty_like(x_hat)
+        np.log(x_hat, out=x_hat)
+    np.subtract(base, x_hat, out=x_hat)
+    np.maximum(0.0, base, out=base)
+    np.minimum(base, x_hat, out=x_hat)
+    del base
+    x_hat += np.ravel(x)[rows]
+    constant = np.ravel(2.0 * ex - x - 2.0)[rows]  # the denominator less the integral
+    del rows
+    # every split run lies in 0 < z < 1, so -2 ln z is kept there only
+    positive, at_least_1 = int(z.searchsorted(0.0, "right")), int(z.searchsorted(1.0))
+    neg_two_log_z = -2.0 * np.log(np.maximum(z[positive:at_least_1], 1e-300))
+    y_hat, integral = np.empty_like(z), np.empty_like(z)
     for y, ey, e_neg_y in zip(ys, np.exp(ys), np.exp(np.negative(ys))):
-        np.multiply(z, ey + 1.0, out=y_hat)
-        np.subtract(neg_two_log_z, y, out=integral)
-        integral += y_hat
-        integral -= 2.0
-        np.multiply(z, ey - 1.0, out=y_hat)
-        np.subtract(y, y_hat, out=integral, where=z <= e_neg_y)
-        np.subtract(y_hat, y, out=integral, where=z_at_least_1)
-        np.multiply(z, ey, out=y_hat)
-        y_hat -= 2.0
-        np.abs(y_hat, out=y_hat)
-        np.maximum(y_hat, 1.0, out=y_hat)  # so the log is 0 where |z e^y - 2| <= 1
-        np.log(y_hat, out=y_hat)
+        low = min(int(z.searchsorted(e_neg_y, "right")), at_least_1)
+        below, split, above = slice(0, low), slice(low, at_least_1), slice(at_least_1, None)
+        np.multiply(z[below], ey - 1.0, out=integral[below])
+        np.subtract(y, integral[below], out=integral[below])
+        np.subtract(neg_two_log_z[low - positive:], y, out=integral[split])
+        np.multiply(z[split], ey + 1.0, out=y_hat[split])
+        integral[split] += y_hat[split]
+        integral[split] -= 2.0
+        np.multiply(z[above], ey - 1.0, out=integral[above])
+        integral[above] -= y
+        integral += constant
+        np.multiply(z, ey, out=y_hat)  # t
+        start, stop = int(y_hat.searchsorted(1.0)), int(y_hat.searchsorted(3.0, "right"))
+        under, over = y_hat[:start], y_hat[stop:]
+        np.subtract(2.0, under, out=under)
+        np.log(under, out=under)
+        y_hat[start:stop] = 0.0
+        over -= 2.0
+        np.log(over, out=over)
         y_hat += y
         y_hat += x_hat
-        integral += constant
         y_hat /= integral
-        yield y_hat
+        yield y_hat, order
 
 
 def _asymptotic_ratio(x: float, y: float, z):
-    """Large-m ratio of the general family at fixed x and y over an array of z."""
-    return next(_ratio_planes(x, z, [y]))[()]
+    """Large-m ratio of the general family at fixed x and y over an array of
+    z, in the order and shape of z."""
+    plane, order = next(_ratio_planes(x, z, [y]))
+    ratio = np.empty_like(plane)
+    ratio[order] = plane
+    return ratio.reshape(np.shape(z))[()]

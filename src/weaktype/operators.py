@@ -150,7 +150,9 @@ def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> 
 
     Tf(t) = prefactor * integral_lo^hi f(s) s**k ds - f(t), where the
     prefactor is (1+2k) t**(-1-k) signed by the orientation of the integral
-    (0 up to t, or infinity down to t), so it is positive.
+    (0 up to t, or infinity down to t), so it is positive.  Where t**(-1-k)
+    overflows, it is carried into the moments (s = t u), so a finite value
+    stays finite.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive, got {t}")
@@ -161,9 +163,21 @@ def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> 
         lo, hi, sign = t, f.support()[1], -1.0
     # no piece meets (lo, hi): the integral is 0, and the prefactor, which
     # can overflow there, is not formed
-    if not any(pc.t_lo < hi and lo < pc.t_hi for pc in f.pieces):
+    meeting = [pc for pc in f.pieces if pc.t_lo < hi and lo < pc.t_hi]
+    if not meeting:
         return 0.0 - evaluate(f, t)
-    prefactor = sign * (1.0 + 2.0 * k) * t ** (-1.0 - k)
+    try:
+        scale = t ** (-1.0 - k)
+    except OverflowError:
+        # carry t^(-1-k) into the moments: s = t u maps the pieces that meet
+        # (lo, hi) to c0 + c1 t^p u^p on (t_lo / t, t_hi / t]
+        scaled = PiecewisePowerFunction(
+            PowerPiece(pc.t_lo / t, pc.t_hi / t, pc.c0, pc.c1 * t ** pc.p, pc.p)
+            for pc in meeting
+        )
+        integral = moment_integral(scaled, k, lo / t, hi / t)
+        return sign * (1.0 + 2.0 * k) * integral - evaluate(f, t)
+    prefactor = sign * (1.0 + 2.0 * k) * scale
     return prefactor * moment_integral(f, k, lo, hi) - evaluate(f, t)
 
 

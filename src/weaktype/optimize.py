@@ -501,28 +501,38 @@ class PushCheckRecord:
     y_cap: float
 
 
-# push_check's (x, z) planes peak at about 6 r^2 floats: 50 MB at r = 1024.
-# They are row-major, as the z grid is once its column-major linspace (freed
-# before the first plane) is copied.
+# push_check peaks at about 6.8 r^2 floats, 54 MiB at r = 1024 (tracemalloc):
+# the z grid, its sorted copy, the int32 permutation, two y-free terms (and
+# -2 ln z on 0 < z < 1), the plane, the integral buffer and one boolean plane
+# in _first_max.  The gathers' temporaries are freed before the sweep.  The
+# z grid is row-major, so that flattening it to sort the cells is a view;
+# its column-major linspace is freed before the sort.
 _PUSH_MAX_RESOLUTION = 1024
 
 
-def _first_max(planes) -> tuple[float, tuple[int, int, int]]:
-    """Largest entry of (x, z) planes, one per y, and its (x, y, z) index.
+def _first_max(planes, width: int) -> tuple[float, tuple[int, int, int]]:
+    """Largest entry of flat (x, z) planes, one per y, and its (x, y, z) index.
 
-    As ``np.argmax`` over the stacked (x, y, z) array: the first maximum in
-    (x, y, z) order wins, and a NaN beats every number.  Each plane is read
-    before the next is drawn, so the planes may share one buffer.
+    Each plane comes with its permutation: plane[j] is the cell at flat
+    (x, z) index order[j] of a grid ``width`` cells wide.  As ``np.argmax``
+    over the stacked (x, y, z) array: the first maximum in (x, y, z) order
+    wins, and a NaN beats every number.  A plane costs one ``max``; only a
+    plane whose maximum ties or beats the best so far, or is NaN, is searched
+    for its first maximal cell.  Each plane is read before the next is drawn,
+    so the planes may share one buffer.
     """
     best, index = -math.inf, (0, 0, 0)
-    for iy, plane in enumerate(planes):
-        flat = int(np.argmax(plane))
-        value = float(plane.flat[flat])
-        ix, iz = divmod(flat, plane.shape[1])
-        if math.isnan(value):
+    for iy, (plane, order) in enumerate(planes):
+        value = float(plane.max())
+        nan = math.isnan(value)
+        if not (nan or value >= best):
+            continue
+        first = order[np.isnan(plane) if nan else plane == value].min()
+        ix, iz = divmod(int(first), width)
+        if nan:
             better = not math.isnan(best) or ix < index[0]
         else:
-            better = value > best or (value == best and ix < index[0])
+            better = value > best or ix < index[0]
         if better:
             best, index = value, (ix, iy, iz)
     return best, index
@@ -533,9 +543,8 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
 
     A nonpositive result (up to grid tolerance) means no admissible (x, y, z)
     beats the curve supremum.  Each x has its own z grid; the ratio is drawn
-    one (x, z) plane per y from ``functionals._ratio_planes``, and the first
-    maximum in (x, y, z) order wins ties.  The z grid is row-major, so every
-    plane is, and ``_first_max`` reads each in place.
+    one flat plane of (x, z) cells per y from ``functionals._ratio_planes``,
+    and the first maximum in (x, y, z) order wins ties.
     """
     if not (isinstance(grid_resolution, int)
             and 16 <= grid_resolution <= _PUSH_MAX_RESOLUTION):  # bools are < 16
@@ -548,16 +557,13 @@ def push_check(grid_resolution: int) -> PushCheckRecord:
     xs = np.linspace(1e-6, x_cap, grid_resolution)
     ys = np.linspace(1e-6, y_cap, grid_resolution)
     z_lo = 2.0 * (2.0 - functionals._per_x(math.exp, xs))
-    # row-major, so that every (x, z) plane is and argmax reads it in place
     zs = np.ascontiguousarray(np.linspace(z_lo, 2.0 - 1e-9, grid_resolution, axis=1))
-    worst, (ix, iy, iz) = _first_max(functionals._ratio_planes(xs[:, None], zs, ys))
-    ratio = functionals._asymptotic_ratio
+    worst, (ix, iy, iz) = _first_max(
+        functionals._ratio_planes(xs[:, None], zs, ys), grid_resolution)
     ray_zs = np.array([0.5, 1.0, 1.9])
-    ray_ok = all(
-        (ratio(x_cap * far, y_cap * far, ray_zs)
-         <= ratio(x_cap * near, y_cap * near, ray_zs)).all()
-        for near, far in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0))
-    )
+    rays = [functionals._asymptotic_ratio(x_cap * scale, y_cap * scale, ray_zs)
+            for scale in (1.0, 1.5, 2.0, 3.0)]
+    ray_ok = all((far <= near).all() for near, far in zip(rays, rays[1:]))
     return PushCheckRecord(
         grid_resolution, supremum, worst - supremum,
         (float(xs[ix]), float(ys[iy]), float(zs[ix, iz])), ray_ok,

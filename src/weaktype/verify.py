@@ -196,7 +196,7 @@ def _suite_oracle(seed: int) -> CheckReport:
             collector.metric(
                 f"{prefix}ratio {label}", closed_ratio(b, d, m) - report.ratio, 1e-7
             )
-            intervals = operators.superlevel_measure(op, f).intervals
+            intervals = report.superlevel.intervals
             single = len(intervals) == 1 and all(
                 abs(end - ref) <= 1e-9 * max(1.0, ref)
                 for end, ref in zip(intervals[0], sorted((1.0, d)))

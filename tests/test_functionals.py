@@ -208,6 +208,13 @@ class TestOracleRatio:
         report = oracle_ratio(lambda_star_op(1), build_star_spec(params))
         assert report.ratio == pytest.approx(W_star(0.649, 0.150, 1), abs=1e-10)
 
+    def test_report_carries_the_superlevel_set(self):
+        f = build_spec(FSpecParams(3, 1.4, 2.2))
+        report = oracle_ratio(lambda_op(3), f)
+        assert report.superlevel == superlevel_measure(lambda_op(3), f)
+        assert report.numerator == report.superlevel.measure
+        assert general_ratio(GeneralFamilyParams(3, 1.0, 1.4, 1.4, 2.2)).superlevel is None
+
 
 class TestAsymptoticRestricted:
     def test_sample_point(self):

@@ -102,6 +102,32 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             apply_closed_form(lambda_op(1), f, 0.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 8, 40])
+    @pytest.mark.parametrize("t", [1e-300, 5e-324])
+    def test_finite_where_the_prefactor_overflows(self, m, t):
+        # f = 1 on (0, 1): Tf = k / (1 + k) at every t < 1, while the
+        # prefactor t^(-1-k) is past the largest float
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0),))
+        k = m / 2.0
+        with pytest.raises(OverflowError):
+            t ** (-1.0 - k)
+        assert apply_closed_form(lambda_op(m), f, t) == pytest.approx(
+            k / (1.0 + k), rel=4 * np.finfo(float).eps, abs=0.0)
+
+    def test_finite_where_the_adjoint_prefactor_overflows(self):
+        # f = 1 on (0, 1e200) under the adjoint, m = 8: t^4 overflows at
+        # t = 1e100, and Tf = 5/4 up to the cut-off tail, far below rounding
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1e200, 1.0, 0.0, 0.0),))
+        assert apply_closed_form(lambda_star_op(8), f, 1e100) == pytest.approx(
+            1.25, rel=4 * np.finfo(float).eps, abs=0.0)
+
+    def test_power_piece_where_the_prefactor_overflows(self):
+        # f = 1 + 2 s^(3/2) on (0, 1) under m = 1: the power term adds
+        # 2 (1 + 2k) t^(3/2) / (3/2 + k + 1) - 2 t^(3/2), which underflows
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 1.0, 2.0, 1.5),))
+        assert apply_closed_form(lambda_op(1), f, 1e-300) == pytest.approx(
+            1.0 / 3.0, rel=4 * np.finfo(float).eps, abs=0.0)
+
 
 class TestQuadratureOracle:
     def test_constant_integrand(self):

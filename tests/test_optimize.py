@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import random
@@ -585,6 +586,15 @@ class TestUniformBound:
             assert all(bound_poly(m, quad_bound) > 0.0 for m in ms)
 
 
+def _push_grid(resolution):
+    """push_check's x and y ticks and its row-major (x, z) grid."""
+    xs = np.linspace(1e-6, 3.0, resolution)
+    ys = np.linspace(1e-6, 5.0, resolution)
+    z_lo = 2.0 * (2.0 - functionals._per_x(math.exp, xs))
+    zs = np.ascontiguousarray(np.linspace(z_lo, 2.0 - 1e-9, resolution, axis=1))
+    return xs, ys, zs
+
+
 class TestPushCheck:
     def test_no_violation_on_desk_grid(self):
         record = push_check(32)
@@ -655,10 +665,10 @@ class TestPushCheck:
         ratio_planes = functionals._ratio_planes
 
         def one_nan(x, z, ys):
-            for count, plane in enumerate(ratio_planes(x, z, ys), start=1):
+            for count, (plane, order) in enumerate(ratio_planes(x, z, ys), start=1):
                 if count == 5:
-                    plane[3, 7] = math.nan
-                yield plane
+                    plane[order == 3 * 16 + 7] = math.nan  # cell (3, 7)
+                yield plane, order
 
         monkeypatch.setattr(functionals, "_ratio_planes", one_nan)
         record = push_check(16)
@@ -668,23 +678,6 @@ class TestPushCheck:
         )
         (report,) = verify.run_suite(["push"], 0)
         assert report.status is verify.Status.FAIL
-
-    def test_planes_follow_the_memory_order_of_z(self, monkeypatch):
-        # push_check's z grid is row-major, so every plane is too and
-        # _first_max's argmax reads it without a copy; planes in another order
-        # would make every in-place step of the y sweep stride across memory
-        ratio_planes, strides = functionals._ratio_planes, []
-
-        def spy(x, z, ys):
-            for plane in ratio_planes(x, z, ys):
-                strides.append((z.strides, plane.strides))
-                yield plane
-
-        monkeypatch.setattr(functionals, "_ratio_planes", spy)
-        push_check(32)
-        grid = strides[:32]  # then the ray check's one-plane calls
-        assert all(z == (8 * 32, 8) for z, _ in grid)
-        assert all(plane == z for z, plane in grid)
 
     @pytest.mark.parametrize("resolution", [16, 17, 32])
     def test_planes_do_not_depend_on_the_memory_order_of_z(self, resolution):
@@ -697,9 +690,42 @@ class TestPushCheck:
         assert column_major.flags.f_contiguous and row_major.flags.c_contiguous
         planes = zip(functionals._ratio_planes(xs[:, None], column_major, ys),
                      functionals._ratio_planes(xs[:, None], row_major, ys))
-        for count, (column_plane, row_plane) in enumerate(planes, start=1):
-            assert column_plane.tobytes(order="C") == row_plane.tobytes(order="C")
+        for count, ((column_plane, column_order), (row_plane, row_order)) in enumerate(
+                planes, start=1):
+            assert column_plane.tobytes() == row_plane.tobytes()
+            assert column_order.tobytes() == row_order.tobytes()
         assert count == resolution
+
+    @pytest.mark.parametrize("resolution", [16, 17, 32])
+    def test_planes_are_sorted_by_z(self, resolution):
+        xs, ys, zs = _push_grid(resolution)
+        plane, order = next(functionals._ratio_planes(xs[:, None], zs, ys))
+        assert order.dtype == np.int32 and plane.shape == order.shape == (zs.size,)
+        assert sorted(order) == list(range(zs.size))
+        assert np.array_equal(zs.ravel()[order], np.sort(zs, axis=None, kind="stable"))
+
+    def test_planes_match_the_recorded_sweep(self):
+        # SHA-256 of every plane of push_check's r = 128 grid, in (x, y, z)
+        # order, as the sweep over unsorted (x, z) planes wrote them with
+        # numpy's AVX-512 log; numpy's other SIMD targets round some logs
+        # differently
+        xs, ys, zs = _push_grid(128)
+        stack = np.empty((128, 128, 128))
+        for iy, (plane, order) in enumerate(
+                functionals._ratio_planes(xs[:, None], zs, ys)):
+            stack[:, iy, :].flat[order] = plane
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == (
+            "61220b60a4a1a4ffd49ad63b0f15c0640d0548ac91be3b902c74c79f61296c5c"
+        )
+
+    def test_asymptotic_ratio_keeps_the_order_and_shape_of_z(self):
+        rng = np.random.default_rng(31)
+        zs = rng.permutation(np.linspace(-3.0, 2.0 - 1e-9, 60)).reshape(6, 10)
+        ratio = functionals._asymptotic_ratio(0.9, 1.3, zs)
+        assert ratio.shape == (6, 10)
+        reversed_ratio = functionals._asymptotic_ratio(0.9, 1.3, zs.ravel()[::-1])
+        assert reversed_ratio.tobytes() == ratio.ravel()[::-1].tobytes()
+        assert ratio[2, 3] == functionals._asymptotic_ratio(0.9, 1.3, zs[2, 3])
 
     def test_nan_at_a_ray_end_fails_the_ray_check(self, monkeypatch):
         ratio = functionals._asymptotic_ratio
@@ -721,7 +747,13 @@ class TestFirstMax:
 
     @staticmethod
     def _first_max(stack):
-        return optimize._first_max(stack[:, iy, :] for iy in range(stack.shape[1]))
+        # each (x, z) plane flat in a shuffled order, with its permutation
+        rng = np.random.default_rng(stack.size)
+        planes = []
+        for iy in range(stack.shape[1]):
+            order = rng.permutation(stack.shape[0] * stack.shape[2]).astype(np.int32)
+            planes.append((stack[:, iy, :].ravel()[order], order))
+        return optimize._first_max(iter(planes), stack.shape[2])
 
     def test_ties_across_y_steps(self):
         stack = np.zeros((4, 5, 3))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from weaktype import verify
+from weaktype import functionals, operators, verify
 from weaktype.verify import SUITE_NAMES, Status, reports_to_json, run_suite
 
 
@@ -52,6 +52,22 @@ class TestRunSuite:
         )
         bound = _WALL_TIME_BOUNDS.get(name, math.inf)
         assert elapsed < bound, f"{name}: {elapsed:.1f} s, bound {bound} s"
+
+    def test_oracle_suite_measures_each_family_once(self, monkeypatch):
+        # 300 restricted families per direction, one superlevel set each,
+        # read from oracle_ratio's report
+        calls = []
+        measure = functionals.superlevel_measure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "superlevel_measure", counted)
+        monkeypatch.setattr(operators, "superlevel_measure", counted)
+        (report,) = run_suite(["oracle"], 0)
+        assert report.status is Status.PASS
+        assert len(calls) == 600
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
