@@ -12,12 +12,14 @@ times itself wherever the integral converges.
 Closed-form application uses the exact piecewise moment integrals.  The
 independent oracle recomputes the same values by adaptive Gauss-Legendre
 quadrature in u = ln s, one numpy batch over every (piece, t) panel, for t
-a float or an array of them.  Superlevel sets are located structurally: on
-every maximal region (piece, gap, or tail) the transformed function is a
-two-term power expression, so each region is itself a ``PowerPiece``.  Its
-threshold crossings are the interior roots (``piecewise._interior_root``) of
-the region shifted by the threshold, and every genuine crossing is certified
-by a sign change of the quadrature oracle inside its region.
+a float or an array of them.  Where the prefactor (1+2k) t**(-1-k)
+overflows, both integrate in s = t u instead.  Superlevel sets are located
+structurally: on every maximal region (piece, gap, or tail) the transformed
+function is a two-term power expression, so each region is itself a
+``PowerPiece``.  Its threshold crossings are the interior roots
+(``piecewise._interior_root``) of the region shifted by the threshold, and
+every genuine crossing is certified by a sign change of the quadrature
+oracle inside its region.
 """
 
 from __future__ import annotations
@@ -150,35 +152,28 @@ def apply_closed_form(op: OperatorKind, f: PiecewisePowerFunction, t: float) -> 
 
     Tf(t) = prefactor * integral_lo^hi f(s) s**k ds - f(t), where the
     prefactor is (1+2k) t**(-1-k) signed by the orientation of the integral
-    (0 up to t, or infinity down to t), so it is positive.  Where t**(-1-k)
-    overflows, it is carried into the moments (s = t u), so a finite value
-    stays finite.
+    (0 up to t, or infinity down to t), so it is positive.  Where the
+    prefactor overflows, t**(-1-k) is carried into the moments (s = t u), so
+    a finite value stays finite.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive, got {t}")
     k = op.k
-    if op.kind is Kind.LAMBDA:
-        lo, hi, sign = 0.0, t, 1.0
-    else:
-        lo, hi, sign = t, f.support()[1], -1.0
-    # no piece meets (lo, hi): the integral is 0, and the prefactor, which
-    # can overflow there, is not formed
-    meeting = [pc for pc in f.pieces if pc.t_lo < hi and lo < pc.t_hi]
-    if not meeting:
-        return 0.0 - evaluate(f, t)
+    lo, hi, sign = (0.0, t, 1.0) if op.kind is Kind.LAMBDA else (t, math.inf, -1.0)
     try:
-        scale = t ** (-1.0 - k)
+        prefactor = sign * (1.0 + 2.0 * k) * t ** (-1.0 - k)
     except OverflowError:
-        # carry t^(-1-k) into the moments: s = t u maps the pieces that meet
-        # (lo, hi) to c0 + c1 t^p u^p on (t_lo / t, t_hi / t]
-        scaled = PiecewisePowerFunction(
-            PowerPiece(pc.t_lo / t, pc.t_hi / t, pc.c0, pc.c1 * t ** pc.p, pc.p)
-            for pc in meeting
-        )
-        integral = moment_integral(scaled, k, lo / t, hi / t)
-        return sign * (1.0 + 2.0 * k) * integral - evaluate(f, t)
-    prefactor = sign * (1.0 + 2.0 * k) * scale
-    return prefactor * moment_integral(f, k, lo, hi) - evaluate(f, t)
+        prefactor = math.inf
+    if prefactor < math.inf:
+        return prefactor * moment_integral(f, k, lo, hi) - evaluate(f, t)
+    # s = t u maps the pieces that meet (lo, hi) to c0 + c1 t^p u^p on
+    # (t_lo / t, t_hi / t]
+    scaled = PiecewisePowerFunction(
+        PowerPiece(pc.t_lo / t, pc.t_hi / t, pc.c0, pc.c1 * t ** pc.p, pc.p)
+        for pc in f.pieces if pc.t_lo < hi and lo < pc.t_hi
+    )
+    integral = moment_integral(scaled, k, lo / t, hi / t)
+    return sign * (1.0 + 2.0 * k) * integral - evaluate(f, t)
 
 
 @np.errstate(all="ignore")
@@ -195,6 +190,8 @@ def apply_quadrature_oracle(
     0 or infinity is cut where each power term's exact tail |c| s0**e / |e|
     is a quarter share.  G20 gets the other half, halved at each bisection,
     until |G20 - G10| fits; sums run per value, the same bits in any batch.
+    A row whose prefactor overflows is integrated in s / t, as in
+    ``apply_closed_form``.
     """
     points = np.asarray(t, dtype=float)
     flat = points.ravel()
@@ -213,15 +210,19 @@ def apply_quadrature_oracle(
     # its orientation
     a = np.maximum(np.zeros_like(col) if forward else col, t_lo)
     b = np.minimum(col if forward else np.full_like(col, np.inf), t_hi)
-    prefactor = (1.0 if forward else -1.0) * (1.0 + 2.0 * op.k) * flat ** (-1.0 - op.k)
-    meets = a < b
-    # where no piece meets the range the prefactor, which can overflow there,
-    # is not used; an underflowed one leaves no integral term to check
-    prefactor[~meets.any(axis=1)] = 0.0
-    owner, piece = np.nonzero(meets & (prefactor != 0.0)[:, None])
-    a, b = a[owner, piece], b[owner, piece]
+    signed = (1.0 if forward else -1.0) * (1.0 + 2.0 * op.k)
+    prefactor = signed * flat ** (-1.0 - op.k)
+    # where the prefactor overflows, t**(-1-k) is carried into the integral
+    # as in apply_closed_form: s = t u puts the panel on (a/t, b/t] with c1
+    # t**p; every other row is divided by 1.0.  An underflowed prefactor
+    # leaves no integral term to check
+    over = np.isinf(prefactor)
+    scale = np.where(over, flat, 1.0)
+    prefactor[over] = signed
+    owner, piece = np.nonzero((a < b) & (prefactor != 0.0)[:, None])
+    a, b, scale = a[owner, piece], b[owner, piece], scale[owner]
     budget = tol / (np.abs(prefactor[owner]) * np.bincount(owner)[owner])
-    coeffs = np.stack([c0[piece], c1[piece]])
+    coeffs = np.stack([c0[piece], c1[piece] * scale ** p[piece]])
     exps = op.k + 1.0 + np.stack([np.zeros_like(b), p[piece]])
     live, at0, atinf = coeffs != 0.0, a == 0.0, b == np.inf
     exps[~live] = 0.0  # a zero term stays zero however far out
@@ -231,7 +232,7 @@ def apply_quadrature_oracle(
             f"{why} at t={flat[owner[panel]]} on panel [{a[panel]}, {b[panel]}]"
         )
 
-    ua, ub = np.log(a), np.log(b)
+    ua, ub = np.log(a / scale), np.log(b / scale)
     if (at0 | atinf).any():
         bad = np.any(live & ((at0 & ~(exps > 0.0)) | (atinf & ~(exps < 0.0))), axis=0)
         if bad.any():
@@ -437,8 +438,6 @@ def superlevel_measure(
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if not f.pieces:
-        return SuperlevelResult(0.0, ())
     raw: list[tuple[float, float]] = []
     for region in _regions(op, f):
         for u, v, u_cross, v_cross in _region_intervals(region, threshold):
@@ -455,7 +454,7 @@ def superlevel_measure(
         else:
             merged.append([u, v])
     intervals = tuple((u, v) for u, v in merged)
-    measure = sum(v - u for u, v in intervals)
+    measure = sum((v - u for u, v in intervals), 0.0)
     return SuperlevelResult(measure, intervals)
 
 
@@ -464,23 +463,16 @@ def eigen_check(
 ) -> float:
     """Max deviation |T(t**alpha)(t) - lam * t**alpha| over the samples.
 
-    t**alpha is cut off at twice the largest sample.  The forward operator
-    integrates only below t, so the cut-off changes nothing there; the
-    adjoint integrates up to infinity, so the exact mass past the cut-off,
-    (1+2k)/(1+alpha+k) * t**(-1-k) * cut**(1+alpha+k), is added back.
+    t**alpha is one piece on (0, inf), whose moments the closed form takes
+    exactly: below t forward, and from t out to infinity for the adjoint.
     """
     if not t_samples:
         raise ValueError("need at least one sample point")
     if min(t_samples) <= 0.0:
         raise ValueError("sample points must be positive")
     lam = eigenvalue(op, alpha)
-    k, cut = op.k, 2.0 * max(t_samples)
-    f = PiecewisePowerFunction((PowerPiece(0.0, cut, 0.0, 1.0, alpha),))
-    tail = 0.0  # the mass past the cut-off over t**(-1-k)
-    if op.kind is Kind.LAMBDA_STAR:
-        tail = (1.0 + 2.0 * k) / (1.0 + alpha + k) * cut ** (1.0 + alpha + k)
+    f = PiecewisePowerFunction((PowerPiece(0.0, math.inf, 0.0, 1.0, alpha),))
     worst = 0.0
     for t in t_samples:
-        value = apply_closed_form(op, f, t) + tail * t ** (-1.0 - k)
-        worst = max(worst, abs(value - lam * t ** alpha))
+        worst = max(worst, abs(apply_closed_form(op, f, t) - lam * t ** alpha))
     return worst

@@ -21,6 +21,7 @@ from weaktype.operators import (
     OperatorKind,
     Kind,
     QuadratureError,
+    SuperlevelResult,
     apply_closed_form,
     apply_quadrature_oracle,
     eigen_check,
@@ -113,6 +114,37 @@ class TestClosedForm:
             t ** (-1.0 - k)
         assert apply_closed_form(lambda_op(m), f, t) == pytest.approx(
             k / (1.0 + k), rel=4 * np.finfo(float).eps, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 40])
+    @pytest.mark.parametrize("t", [1e-300, 5e-324])
+    def test_oracle_finite_where_the_prefactor_overflows(self, m, t):
+        # the oracle carries t^(-1-k) into the integral on the same rows
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0),))
+        k = m / 2.0
+        assert apply_quadrature_oracle(lambda_op(m), f, t) == pytest.approx(
+            k / (1.0 + k), rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_finite_where_only_the_prefactor_product_overflows(self, m):
+        # t^(-1-k) is finite, but (1 + 2k) times it is not
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0),))
+        k = m / 2.0
+        t = (1.7e308 / (1.0 + 2.0 * k) * 2.0) ** (1.0 / (-1.0 - k))
+        assert math.isinf((1.0 + 2.0 * k) * t ** (-1.0 - k))
+        closed = apply_closed_form(lambda_op(m), f, t)
+        assert closed == pytest.approx(k / (1.0 + k), rel=4 * np.finfo(float).eps, abs=0.0)
+        assert abs(apply_quadrature_oracle(lambda_op(m), f, t) - closed) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "route", [apply_closed_form, apply_quadrature_oracle], ids=["closed_form", "oracle"]
+    )
+    def test_adjoint_zero_above_the_support_where_the_prefactor_overflows(self, route):
+        # t^(m/2) overflows at t = 1e300 for m = 8, and (t, inf) meets no piece
+        f = PiecewisePowerFunction((PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0),))
+        with pytest.raises(OverflowError):
+            1e300 ** 4.0
+        value = route(lambda_star_op(8), f, 1e300)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_finite_where_the_adjoint_prefactor_overflows(self):
         # f = 1 on (0, 1e200) under the adjoint, m = 8: t^4 overflows at
@@ -288,7 +320,8 @@ class TestEigenCheck:
             eigen_check(lambda_star_op(2), 1.5, [1.0])
 
     def test_adjoint_tail_accounted_exactly(self):
-        # a cut-off at 1e6 without the tail's mass leaves 7.2e-11 here
+        # t^2 is integrated out to infinity in closed form; a cut-off at 1e6
+        # without the tail's mass would leave 7.2e-11 here
         assert eigen_check(lambda_star_op(8), 2.0, [2.0]) < 1e-13
 
 
@@ -371,3 +404,15 @@ def test_range_without_pieces_is_minus_f(route):
         batch = route(lambda_op(1), g, np.array([1e-308, 3.0]))
         assert batch.tolist() == [0.0, route(lambda_op(1), g, 3.0)]
 
+
+
+@pytest.mark.parametrize("op", [lambda_op(3), lambda_star_op(3)], ids=["lambda", "star"])
+def test_empty_function_has_no_superlevel_set_and_zero_image(op):
+    # the region walker yields one zero region forward and none for the
+    # adjoint; 1e-300 and 1e300 overflow one prefactor or the other
+    empty = PiecewisePowerFunction(())
+    result = superlevel_measure(op, empty)
+    assert result == SuperlevelResult(0.0, ()) and isinstance(result.measure, float)
+    for t in (1e-300, 1.0, 1e300):
+        assert apply_closed_form(op, empty, t) == 0.0
+        assert apply_quadrature_oracle(op, empty, t) == 0.0
